@@ -28,7 +28,7 @@ from .entryexit import (EntryExitSolution, SlowCurves, slow_curves,
 from .integrate import (Controls, Event, Section, Trajectory, integrate_xz,
                         integrate_zeta, min_z_exponent, z_of_zeta)
 from .geometry import (ManifoldPatch, SingularConfiguration,
-                       build_configuration, build_manifolds,
+                       build_configuration, build_manifolds, cycle_distance,
                        hausdorff_distance, transversality_det)
 from .experiment import (GapProfile, ProbeResult, SweepFailure, SweepRecord,
                          SweepReport, derivative_probe, manifold_closeness,
@@ -59,6 +59,7 @@ __all__ = [
     # geometry
     "SingularConfiguration", "ManifoldPatch", "build_configuration",
     "build_manifolds", "transversality_det", "hausdorff_distance",
+    "cycle_distance",
     # experiments
     "SweepRecord", "SweepFailure", "SweepReport", "run_sweep",
     "ProbeResult", "derivative_probe", "GapProfile", "manifold_closeness",

@@ -22,7 +22,8 @@ import sys
 
 from ._version import VERSION
 from .entryexit import slow_curves, solve_exit
-from .errors import DelayLabError, NoExitInWindowError, UsageError
+from .errors import (DelayLabError, NoExitInWindowError, PreconditionError,
+                     UsageError)
 from .expr import ExpressionError
 from .experiment import run_sweep
 from .geometry import build_configuration, build_manifolds, transversality_det
@@ -107,11 +108,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--x0", type=float)
     sp.add_argument("--z0", type=float)
     sp.add_argument("--eps", help="comma-separated eps list, e.g. 0.2,0.1")
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--probe-step", dest="probe_step", type=float,
                     help="finite-difference step for d(exit)/d(entry)")
-    sp.add_argument("--hausdorff-n", dest="hausdorff_n", type=int,
-                    default=512)
     sp.add_argument("--formats", default="csv,json",
                     help="comma subset of csv,json (default both)")
 
@@ -204,7 +202,10 @@ def _resolve_controls(args, cfg: dict) -> Controls:
         value = _merged(args, cfg, name)
         if value is not None:
             kwargs[name] = value
-    return Controls(**kwargs)
+    try:
+        return Controls(**kwargs)
+    except PreconditionError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 _DIRECTIONS = {"up": +1, "down": -1, "any": 0}
@@ -315,8 +316,7 @@ def _cmd_sweep(args, cfg: dict) -> int:
         raise UsageError("--formats must be a comma subset of csv,json")
 
     report = run_sweep(m, x0, z0, eps_list, controls=controls,
-                       jobs=args.jobs, probe_step=args.probe_step,
-                       hausdorff_n0=args.hausdorff_n)
+                       probe_step=args.probe_step)
 
     for r in report.records:
         print(f"eps={output.fmt(r.eps)}: minz_exponent="

@@ -2,9 +2,10 @@
 
 ``run_sweep`` integrates one delayed-loss cycle per eps in the
 logarithmic chart, measures the delay exponent, the exit point, the
-exit slow time, the planar Hausdorff distance to the candidate cycle
-and a finite-difference probe of d(exit)/d(entry), then fits
-empirical convergence rates against the eps = 0 reference values.
+exit slow time, the exact planar Hausdorff distance to the
+three-segment singular cycle and a finite-difference probe of
+d(exit)/d(entry), then fits empirical convergence rates against the
+eps = 0 reference values.  The eps values run one after another.
 
 ``manifold_closeness`` measures how far a finite-eps trajectory sits
 above the attracting slow profile in the logarithmic chart.
@@ -14,14 +15,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .entryexit import EntryExitSolution, solve_exit
 from .errors import DelayLabError, PreconditionError
-from .geometry import build_configuration, hausdorff_distance
+from .geometry import cycle_distance
 from .integrate import Controls, Section, integrate_zeta, min_z_exponent
 from .model import InitialData, Model
 from .numerics import integrate
@@ -77,35 +77,16 @@ class SweepReport:
         return out
 
 
-def _converged_hausdorff(traj_points: np.ndarray, m: Model,
-                         sol: EntryExitSolution, z0: float,
-                         n0: int = 512, n_cap: int = 8192) -> float:
-    """Hausdorff distance to the candidate cycle, with the cycle
-    sampling refined until the value settles to 1%."""
-    n = n0
-    value = hausdorff_distance(
-        traj_points, build_configuration(m, sol, z0, n=n).xz_points())
-    while n < n_cap:
-        n *= 2
-        refined = hausdorff_distance(
-            traj_points, build_configuration(m, sol, z0, n=n).xz_points())
-        settled = abs(refined - value) <= 0.01 * max(abs(value), 1e-12)
-        value = refined
-        if settled:
-            break
-    return value
-
-
 def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
-              controls: Controls | None = None, jobs: int = 1,
-              probe_step: float | None = None,
-              hausdorff_n0: int = 512) -> SweepReport:
+              controls: Controls | None = None,
+              probe_step: float | None = None) -> SweepReport:
     """Measure one cycle per eps and fit convergence rates.
 
     ``eps_list`` must be positive and strictly descending.  A failure
     at one eps is recorded and the sweep continues; only an all-eps
-    failure raises.  ``jobs`` > 1 runs the per-eps work in threads;
-    results are assembled in eps order either way.
+    failure raises.  The Hausdorff distance of each trajectory to the
+    singular cycle through (x0, z0) and (x1, z0) is exact
+    (``cycle_distance``); the cycle is never sampled.
     """
     if not eps_list:
         raise PreconditionError("eps list must be nonempty")
@@ -117,8 +98,6 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
             raise PreconditionError(
                 f"eps values must be strictly descending, got {a} before {b}"
             )
-    if jobs < 1:
-        raise PreconditionError(f"jobs must be >= 1, got {jobs}")
     if controls is None:
         controls = Controls()
 
@@ -141,8 +120,7 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
                               stop, controls)
         event = traj.events[-1]
         minz = min_z_exponent(traj, eps)
-        hd = _converged_hausdorff(traj.xz_points(), m, sol, z0,
-                                  n0=hausdorff_n0)
+        hd = cycle_distance(traj.xz_points(), sol.x0, sol.x1, z0)
         probe = (exit_x_from(x0 + h_probe, eps)
                  - exit_x_from(x0 - h_probe, eps)) / (2.0 * h_probe)
         return SweepRecord(eps=eps, minz_exponent=minz, exit_x=event.x,
@@ -150,24 +128,14 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
                            d_exit_dx0=probe,
                            wall_time_s=time.perf_counter() - t_begin)
 
-    results: list[SweepRecord | SweepFailure | None] = [None] * len(eps_list)
-
-    def guarded(i_eps):
-        i, eps = i_eps
+    records: list[SweepRecord] = []
+    failures: list[SweepFailure] = []
+    for eps in eps_list:
         try:
-            results[i] = one(eps)
+            records.append(one(eps))
         except DelayLabError as exc:
-            results[i] = SweepFailure(eps=eps, error=f"{type(exc).__name__}: {exc}")
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            list(pool.map(guarded, enumerate(eps_list)))
-    else:
-        for item in enumerate(eps_list):
-            guarded(item)
-
-    records = tuple(r for r in results if isinstance(r, SweepRecord))
-    failures = tuple(r for r in results if isinstance(r, SweepFailure))
+            failures.append(SweepFailure(
+                eps=eps, error=f"{type(exc).__name__}: {exc}"))
     if not records:
         detail = "; ".join(f"eps={f.eps:g}: {f.error}" for f in failures)
         raise DelayLabError(f"every eps in the sweep failed ({detail})")
@@ -190,8 +158,8 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
                           - records[-2].minz_exponent)
 
     return SweepReport(model_name=m.name, x0=x0, z0=z0,
-                       eps=tuple(eps_list), records=records,
-                       failures=failures, reference=sol, rates=rates,
+                       eps=tuple(eps_list), records=tuple(records),
+                       failures=tuple(failures), reference=sol, rates=rates,
                        richardson_minz=richardson)
 
 

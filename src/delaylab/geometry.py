@@ -14,6 +14,10 @@ Manifold patches are ruled surfaces in (x, zeta, tau) over the
 attracting (left-anchored) and repelling (right-anchored) ends of the
 slow segment; their transversal intersection along the slow segment
 is certified by a 3x3 determinant of tangent vectors.
+
+In the (x, z) plane the cycle is exactly three line segments, so
+``cycle_distance`` gives the Hausdorff distance from a point set to it
+in closed form, without sampling the cycle.
 """
 
 from __future__ import annotations
@@ -46,10 +50,6 @@ class SingularConfiguration:
 
     def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.gamma1, self.gamma0, self.gamma2)
-
-    def xz_points(self) -> np.ndarray:
-        """All sample points projected to the (x, z) plane."""
-        return np.vstack([p[:, :2] for p in self.pieces()])
 
 
 def build_configuration(m: Model, sol: EntryExitSolution, z0: float,
@@ -287,3 +287,73 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
         return math.sqrt(worst)
 
     return max(directed(a, b), directed(b, a))
+
+
+def _farthest_on_segment(a: np.ndarray, b: np.ndarray,
+                         length: float) -> float:
+    """max over t in [0, length] of min_p sqrt((t - a_p)^2 + b_p^2).
+
+    ``a`` holds the points' positions along the segment and ``b`` their
+    offsets across it.  The squared distance is t^2 plus the lower
+    envelope of the lines c_p - 2 a_p t with c_p = a_p^2 + b_p^2, which
+    the convex-hull trick builds in decreasing slope order.  t^2 plus
+    one line is convex, so the max over each envelope piece sits at
+    t = 0, t = length or a breakpoint inside; only those are evaluated,
+    each by its direct distance to the point owning the piece.
+    """
+    c = a * a + b * b
+    # decreasing slope -2a; among equal slopes the smallest c sorts first
+    order = np.lexsort((c, a))
+    a_s, c_s = a[order].tolist(), c[order].tolist()
+    hull: list[int] = []
+    for j in range(len(a_s)):
+        if hull and a_s[hull[-1]] == a_s[j]:
+            continue
+        while len(hull) >= 2:
+            i, k = hull[-2], hull[-1]
+            # k is hidden once line j meets line i no later than k does
+            if ((c_s[j] - c_s[i]) * (a_s[k] - a_s[i])
+                    > (c_s[k] - c_s[i]) * (a_s[j] - a_s[i])):
+                break
+            hull.pop()
+        hull.append(j)
+
+    own = order[hull]
+    ha, hb, hc = a[own], b[own], c[own]
+    breaks = (hc[1:] - hc[:-1]) / (2.0 * (ha[1:] - ha[:-1]))
+    t = np.concatenate([(0.0, length),
+                        breaks[(breaks > 0.0) & (breaks < length)]])
+    piece = np.searchsorted(breaks, t)
+    return float(np.hypot(t - ha[piece], hb[piece]).max())
+
+
+def cycle_distance(points: np.ndarray, x0: float, x1: float,
+                   z0: float) -> float:
+    """Exact symmetric Hausdorff distance from a planar point set to the
+    singular cycle in the (x, z) plane.
+
+    The cycle is the union of the three segments {x0} x [0, z0],
+    [x0, x1] x {0} and {x1} x [0, z0]; ``points`` is an (n, 2) array
+    of (x, z) pairs.  Points to cycle is the closed-form distance to the
+    nearest segment; cycle to points is a lower-envelope sweep along
+    each segment.
+    """
+    p = np.asarray(points, dtype=float)
+    if p.ndim != 2 or p.shape[1] != 2 or len(p) == 0:
+        raise PreconditionError("points must be a nonempty (n, 2) array")
+    if not (z0 > 0.0):
+        raise PreconditionError(f"z0 must be positive, got {z0}")
+    if not (x0 < x1):
+        raise PreconditionError(f"need x0 < x1, got x0={x0}, x1={x1}")
+
+    x, z = p[:, 0], p[:, 1]
+    z_fiber = np.clip(z, 0.0, z0)
+    to_cycle = np.minimum.reduce([
+        np.hypot(x - x0, z - z_fiber),
+        np.hypot(x - np.clip(x, x0, x1), z),
+        np.hypot(x - x1, z - z_fiber),
+    ])
+    from_cycle = max(_farthest_on_segment(z, x - x0, z0),
+                     _farthest_on_segment(x - x0, z, x1 - x0),
+                     _farthest_on_segment(z, x - x1, z0))
+    return max(float(to_cycle.max()), from_cycle)

@@ -74,7 +74,10 @@ class Section:
 
 @dataclass(frozen=True)
 class Controls:
-    """Integrator controls; None means a chart-dependent default."""
+    """Integrator controls; None means a chart-dependent default.
+
+    Out-of-range values raise ``PreconditionError`` on construction.
+    """
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
@@ -83,6 +86,24 @@ class Controls:
     max_step: float | None = None
     sample_dt: float | None = None      # dense-output spacing (zeta chart)
     event_time_tol: float = 1e-12
+
+    def __post_init__(self):
+        tols = (self.rel_tol, self.abs_tol)
+        if (not all(math.isfinite(v) and v >= 0.0 for v in tols)
+                or tols == (0.0, 0.0)):
+            raise PreconditionError(
+                f"rel_tol and abs_tol must be finite and >= 0, not both 0; "
+                f"got rel_tol={self.rel_tol}, abs_tol={self.abs_tol}"
+            )
+        if self.max_steps < 1:
+            raise PreconditionError(f"max_steps must be >= 1, got {self.max_steps}")
+        for name in ("initial_step", "max_step", "sample_dt"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0.0):
+                raise PreconditionError(f"{name} must be finite and > 0, got {value}")
+        if not (self.event_time_tol > 0.0):
+            raise PreconditionError(
+                f"event_time_tol must be > 0, got {self.event_time_tol}")
 
 
 @dataclass(frozen=True)
@@ -363,7 +384,7 @@ def integrate_xz(m: Model, d: InitialData, stop: Section,
     if stop.var == "zeta" and eps == 0.0:
         raise PreconditionError("a zeta-section is undefined at eps = 0")
 
-    f_min, g_max = _grid_extrema(m)
+    _, g_max = _grid_extrema(m)
     t_char = 1.0 / max(g_max, 1e-6)
     h0 = controls.initial_step if controls.initial_step is not None else 1e-4 * t_char
     h_max = controls.max_step if controls.max_step is not None else t_char

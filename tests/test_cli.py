@@ -109,6 +109,10 @@ def test_usage_errors_exit_64(capsys, tmp_path):
          "--x0", "-1"),                                       # both styles
         ("exit", "--f", "2x", "--g", "x", "--x0", "-1"),      # bad syntax
         ("exit", "--f", "1", "--x0", "-1"),                   # --g missing
+        ("simulate", "--model", "linear", "--x0", "-1", "--z0", "0.1",
+         "--eps", "0.05", "--sample-dt", "0"),                # zero spacing
+        ("simulate", "--model", "linear", "--x0", "-1", "--z0", "0.1",
+         "--eps", "0.05", "--rel-tol", "-1"),                 # tolerance < 0
     )
     for argv in cases:
         rc, _, err = run(capsys, *argv, "--out-dir", od)
@@ -185,7 +189,7 @@ def test_simulate_stop_flags(capsys, tmp_path):
 def test_sweep_cli_outputs(capsys, tmp_path):
     rc, out, _ = run(capsys, "sweep", "--model", "linear", "--x0", "-1",
                      "--z0", "0.1", "--eps", "0.1,0.05",
-                     "--hausdorff-n", "256", "--out-dir", str(tmp_path))
+                     "--out-dir", str(tmp_path))
     assert rc == 0
     assert "richardson_minz" in out
     payload = json.loads((tmp_path / "sweep.json").read_text())
@@ -197,12 +201,12 @@ def test_sweep_cli_outputs(capsys, tmp_path):
     assert header[0] == "eps" and len(data) == 2
 
 
-def test_sweep_jobs_write_identical_files(capsys, tmp_path):
+def test_sweep_reruns_write_identical_files(capsys, tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     args = ("sweep", "--model", "linear", "--x0", "-1", "--z0", "0.1",
-            "--eps", "0.1,0.05", "--hausdorff-n", "256")
-    assert run(capsys, *args, "--jobs", "1", "--out-dir", str(a))[0] == 0
-    assert run(capsys, *args, "--jobs", "4", "--out-dir", str(b))[0] == 0
+            "--eps", "0.1,0.05")
+    assert run(capsys, *args, "--out-dir", str(a))[0] == 0
+    assert run(capsys, *args, "--out-dir", str(b))[0] == 0
     assert (a / "sweep.json").read_bytes() == (b / "sweep.json").read_bytes()
     assert (a / "sweep.csv").read_bytes() == (b / "sweep.csv").read_bytes()
 
@@ -211,7 +215,7 @@ def test_sweep_formats_and_eps_validation(capsys, tmp_path):
     od = str(tmp_path)
     rc, _, _ = run(capsys, "sweep", "--model", "linear", "--x0", "-1",
                    "--z0", "0.1", "--eps", "0.1", "--formats", "json",
-                   "--hausdorff-n", "256", "--out-dir", od)
+                   "--out-dir", od)
     assert rc == 0
     assert (tmp_path / "sweep.json").exists()
     assert not (tmp_path / "sweep.csv").exists()

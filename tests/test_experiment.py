@@ -16,7 +16,7 @@ EPS_SET = [0.2, 0.1, 0.05]
 @pytest.fixture(scope="module")
 def linear_sweep():
     m = get_model("linear")
-    report = run_sweep(m, -1.0, 0.1, EPS_SET, hausdorff_n0=256)
+    report = run_sweep(m, -1.0, 0.1, EPS_SET)
     return m, report
 
 
@@ -61,23 +61,8 @@ def test_sweep_hausdorff_decreases(linear_sweep):
     assert hs[-1] < 0.15
 
 
-def test_sweep_thread_jobs_reproduce_serial(linear_sweep):
-    m, serial = linear_sweep
-    threaded = run_sweep(m, -1.0, 0.1, EPS_SET, jobs=3, hausdorff_n0=256)
-    for a, b in zip(serial.records, threaded.records):
-        assert a.eps == b.eps
-        assert a.minz_exponent == b.minz_exponent
-        assert a.exit_x == b.exit_x
-        assert a.tau_exit == b.tau_exit
-        assert a.hausdorff == b.hausdorff
-        assert a.d_exit_dx0 == b.d_exit_dx0
-    assert serial.rates == threaded.rates
-    assert serial.richardson_minz == threaded.richardson_minz
-
-
 def test_sweep_single_eps_has_no_fits():
-    report = run_sweep(get_model("linear"), -1.0, 0.1, [0.1],
-                       hausdorff_n0=256)
+    report = run_sweep(get_model("linear"), -1.0, 0.1, [0.1])
     assert len(report.records) == 1
     assert report.rates == {}
     assert report.richardson_minz is None
@@ -93,8 +78,6 @@ def test_sweep_validation():
         run_sweep(m, -1.0, 0.1, [0.1, 0.1])  # not strictly descending
     with pytest.raises(PreconditionError):
         run_sweep(m, -1.0, 0.1, [0.1, -0.05])
-    with pytest.raises(PreconditionError):
-        run_sweep(m, -1.0, 0.1, [0.1], jobs=0)
     with pytest.raises(PreconditionError):
         run_sweep(m, -1.0, 0.1, [0.1], probe_step=2.0)
 

@@ -6,8 +6,10 @@ import pytest
 from delaylab.entryexit import solve_exit
 from delaylab.errors import PreconditionError
 from delaylab.geometry import (build_configuration, build_manifolds,
-                               hausdorff_distance, transversality_det)
-from delaylab.model import get_model, model_from_expressions
+                               cycle_distance, hausdorff_distance,
+                               transversality_det)
+from delaylab.integrate import Section, integrate_zeta
+from delaylab.model import InitialData, get_model, model_from_expressions
 
 
 def test_configuration_pieces_linear():
@@ -38,7 +40,6 @@ def test_configuration_pieces_linear():
     # the pieces chain up in the (x, z) plane
     assert np.allclose(g1[-1, :2], g0[0, :2], atol=1e-12)
     assert np.allclose(g0[-1, :2], g2[0, :2], atol=1e-12)
-    assert cfg.xz_points().shape == (3 * 257, 2)
 
 
 def test_configuration_preconditions():
@@ -176,3 +177,62 @@ def test_hausdorff_preconditions():
         hausdorff_distance(good, np.zeros((3, 3)))
     with pytest.raises(PreconditionError):
         hausdorff_distance(np.zeros(3), good)
+
+
+def sampled_cycle(x0, x1, z0, n):
+    """The three cycle segments, n evenly spaced samples each."""
+    fiber = np.linspace(0.0, z0, n)
+    return np.vstack([
+        np.column_stack([np.full(n, x0), fiber]),
+        np.column_stack([np.linspace(x0, x1, n), np.zeros(n)]),
+        np.column_stack([np.full(n, x1), fiber]),
+    ])
+
+
+def assert_matches_sampled(points, x0, x1, z0, n=1001):
+    # |d_H(P, C) - d_H(P, S)| <= d_H(C, S) = h/2 for the sampled cycle S
+    h = max(z0, x1 - x0) / (n - 1)
+    exact = cycle_distance(points, x0, x1, z0)
+    sampled = hausdorff_distance(points, sampled_cycle(x0, x1, z0, n))
+    assert abs(exact - sampled) <= 0.5 * h, (exact, sampled, h)
+
+
+def test_cycle_distance_vertices_closed_form():
+    # every vertex lies on the cycle; the cycle point farthest from them
+    # is (0, 0), an interior breakpoint of the slow segment's envelope
+    vertices = np.array([(-1.0, 0.1), (-1.0, 0.0), (1.0, 0.0), (1.0, 0.1)])
+    assert cycle_distance(vertices, -1.0, 1.0, 0.1) == 1.0
+
+
+def test_cycle_distance_against_sampled_cycle_random_sets():
+    rng = np.random.default_rng(7919)
+    for _ in range(200):
+        x0 = rng.uniform(-2.0, -0.1)
+        x1 = rng.uniform(0.1, 2.0)
+        z0 = rng.uniform(0.01, 1.0)
+        n = int(rng.integers(1, 30))
+        points = np.column_stack([
+            rng.uniform(x0 - 0.5, x1 + 0.5, n),
+            rng.uniform(-0.3, z0 + 0.3, n),
+        ])
+        assert_matches_sampled(points, x0, x1, z0)
+
+
+def test_cycle_distance_against_sampled_cycle_trajectory():
+    m = get_model("linear")
+    sol = solve_exit(m, -1.0)
+    traj = integrate_zeta(m, InitialData(-1.0, 0.1, 0.05),
+                          Section("z", 0.1, direction=1,
+                                  require_x_positive=True))
+    assert_matches_sampled(traj.xz_points(), sol.x0, sol.x1, 0.1, n=4001)
+
+
+def test_cycle_distance_preconditions():
+    good = np.zeros((3, 2))
+    for points in (np.zeros(3), np.zeros((3, 3)), np.zeros((0, 2))):
+        with pytest.raises(PreconditionError):
+            cycle_distance(points, -1.0, 1.0, 0.1)
+    for x0, x1, z0 in ((-1.0, 1.0, 0.0), (-1.0, 1.0, -0.1),
+                       (1.0, 1.0, 0.1), (1.0, -1.0, 0.1)):
+        with pytest.raises(PreconditionError):
+            cycle_distance(good, x0, x1, z0)

@@ -237,6 +237,19 @@ def test_max_steps_budget():
                        Controls(max_steps=5))
 
 
+def test_controls_validation():
+    bad = (
+        dict(sample_dt=0.0), dict(sample_dt=-0.1), dict(sample_dt=math.inf),
+        dict(rel_tol=-1.0), dict(abs_tol=math.nan),
+        dict(rel_tol=0.0, abs_tol=0.0), dict(max_steps=0),
+        dict(initial_step=0.0), dict(max_step=-1.0), dict(event_time_tol=0.0),
+    )
+    for kwargs in bad:
+        with pytest.raises(PreconditionError):
+            Controls(**kwargs)
+    assert Controls(rel_tol=0.0, abs_tol=1e-12).rel_tol == 0.0
+
+
 def test_step_size_underflow_at_discontinuity():
     # the error controller can never accept a step across a large jump
     # in g, so the step size collapses to the floor and is reported

@@ -29,7 +29,7 @@ def test_header_line_composition():
 
 def test_sweep_json_excludes_wall_time(tmp_path):
     m = get_model("linear")
-    report = run_sweep(m, -1.0, 0.1, [0.1], hausdorff_n0=256)
+    report = run_sweep(m, -1.0, 0.1, [0.1])
     assert report.records[0].wall_time_s >= 0.0
     payload = output.sweep_report_to_dict(report, output.make_meta("sweep", m))
     text = json.dumps(payload)
