@@ -160,6 +160,21 @@ def _require(value, flag: str):
     return value
 
 
+def _number(value, name: str, kind=float):
+    """``kind(value)`` for a flag or ``--config`` value; a value that
+    does not convert is a usage error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise UsageError(f"{name} must be a number, got {value!r}") from None
+
+
+def _float_arg(args, cfg: dict, name: str) -> float:
+    """A required number from the flag ``--name`` or the config."""
+    flag = "--" + name.replace("_", "-")
+    return _number(_require(_merged(args, cfg, name), flag), name)
+
+
 def _resolve_model(args, cfg: dict) -> Model:
     name = _merged(args, cfg, "model")
     f_expr = _merged(args, cfg, "f_expr", cfg.get("f"))
@@ -173,8 +188,10 @@ def _resolve_model(args, cfg: dict) -> Model:
     if f_expr is None or g_expr is None:
         raise UsageError("a custom model needs both --f and --g")
     window = _merged(args, cfg, "window", _DEFAULT_WINDOW)
-    window = (float(window[0]), float(window[1]))
-    z_cap = float(_merged(args, cfg, "z_cap", 1.0))
+    if not isinstance(window, (list, tuple)) or len(window) != 2:
+        raise UsageError(f"window must be two numbers LO HI, got {window!r}")
+    window = (_number(window[0], "window"), _number(window[1], "window"))
+    z_cap = _number(_merged(args, cfg, "z_cap", 1.0), "z_cap")
     try:
         return model_from_expressions("custom", f_expr, g_expr, window,
                                       z_cap=z_cap)
@@ -201,7 +218,8 @@ def _resolve_controls(args, cfg: dict) -> Controls:
                  "max_step", "sample_dt"):
         value = _merged(args, cfg, name)
         if value is not None:
-            kwargs[name] = value
+            kwargs[name] = _number(value, name,
+                                   int if name == "max_steps" else float)
     try:
         return Controls(**kwargs)
     except PreconditionError as exc:
@@ -214,7 +232,7 @@ _DIRECTIONS = {"up": +1, "down": -1, "any": 0}
 def _cmd_exit(args, cfg: dict) -> int:
     m = _resolve_model(args, cfg)
     out_dir = _resolve_out_dir(args, cfg)
-    x0 = float(_require(_merged(args, cfg, "x0"), "--x0"))
+    x0 = _float_arg(args, cfg, "x0")
     sol = solve_exit(m, x0)
     for name in ("x1", "zeta0", "tau1", "dx1_dx0", "residual"):
         print(f"{name} = {output.fmt(getattr(sol, name))}")
@@ -235,13 +253,15 @@ def _cmd_simulate(args, cfg: dict) -> int:
     m = _resolve_model(args, cfg)
     out_dir = _resolve_out_dir(args, cfg)
     controls = _resolve_controls(args, cfg)
-    x0 = float(_require(_merged(args, cfg, "x0"), "--x0"))
-    z0 = float(_require(_merged(args, cfg, "z0"), "--z0"))
-    eps = float(_require(_merged(args, cfg, "eps"), "--eps"))
+    x0 = _float_arg(args, cfg, "x0")
+    z0 = _float_arg(args, cfg, "z0")
+    eps = _float_arg(args, cfg, "eps")
 
     chart = _merged(args, cfg, "chart")
     if chart is None:
         chart = "zeta" if eps > 0.0 else "xz"
+    if chart not in ("zeta", "xz"):
+        raise UsageError(f"chart must be zeta or xz, got {chart!r}")
     if chart == "zeta" and eps == 0.0:
         raise UsageError("the zeta chart needs eps > 0; use --chart xz")
 
@@ -289,7 +309,7 @@ def _parse_eps_list(raw) -> list[float]:
     if raw is None:
         raise UsageError("missing required option --eps")
     if isinstance(raw, (list, tuple)):
-        values = [float(v) for v in raw]
+        values = [_number(v, "eps") for v in raw]
     else:
         parts = [p.strip() for p in str(raw).split(",") if p.strip()]
         try:
@@ -305,8 +325,8 @@ def _cmd_sweep(args, cfg: dict) -> int:
     m = _resolve_model(args, cfg)
     out_dir = _resolve_out_dir(args, cfg)
     controls = _resolve_controls(args, cfg)
-    x0 = float(_require(_merged(args, cfg, "x0"), "--x0"))
-    z0 = float(_require(_merged(args, cfg, "z0"), "--z0"))
+    x0 = _float_arg(args, cfg, "x0")
+    z0 = _float_arg(args, cfg, "z0")
     eps_list = _parse_eps_list(_merged(args, cfg, "eps"))
     formats = {p.strip() for p in str(_merged(args, cfg, "formats",
                                               args.formats)).split(",")
@@ -349,13 +369,13 @@ def _cmd_sweep(args, cfg: dict) -> int:
 def _cmd_geometry(args, cfg: dict) -> int:
     m = _resolve_model(args, cfg)
     out_dir = _resolve_out_dir(args, cfg)
-    x0 = float(_require(_merged(args, cfg, "x0"), "--x0"))
-    z0 = float(_require(_merged(args, cfg, "z0"), "--z0"))
+    x0 = _float_arg(args, cfg, "x0")
+    z0 = _float_arg(args, cfg, "z0")
     sol = solve_exit(m, x0)
     delta = _merged(args, cfg, "delta")
     if delta is None:
         delta = min(-x0, sol.x1) / 8.0
-    delta = float(delta)
+    delta = _number(delta, "delta")
 
     config = build_configuration(m, sol, z0, n=args.config_n)
     left, right = build_manifolds(m, x0, sol.x1, delta, n=args.n,

@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import numerics
 from .errors import DelayLabError, NoExitInWindowError, PreconditionError
 from .model import Model
@@ -168,6 +166,8 @@ def slow_curves(m: Model, x0: float, x1_hat: float, n: int = 512,
     ``tau1`` is omitted the candidate exit is treated as the true one
     and the total slow travel time of the grid is used.
     """
+    import numpy as np
+
     if n < 2:
         raise PreconditionError(f"n must be at least 2, got {n}")
     x_min, x_max = m.window

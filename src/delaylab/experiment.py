@@ -17,8 +17,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .entryexit import EntryExitSolution, solve_exit
 from .errors import DelayLabError, PreconditionError
 from .geometry import cycle_distance
@@ -146,9 +144,8 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
         pts = [(r.eps, abs(getattr(r, quantity) - ref)) for r in records]
         pts = [(e, err) for e, err in pts if err > 0.0]
         if len(pts) >= 2:
-            log_e = np.log([p[0] for p in pts])
-            log_err = np.log([p[1] for p in pts])
-            rates[quantity] = float(np.polyfit(log_e, log_err, 1)[0])
+            rates[quantity] = _slope([math.log(e) for e, _ in pts],
+                                     [math.log(err) for _, err in pts])
 
     richardson = None
     if len(records) >= 2:
@@ -161,6 +158,15 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
                        eps=tuple(eps_list), records=tuple(records),
                        failures=tuple(failures), reference=sol, rates=rates,
                        richardson_minz=richardson)
+
+
+def _slope(u: list[float], v: list[float]) -> float:
+    """Least-squares slope of the line through the points (u_i, v_i)."""
+    u_mean = sum(u) / len(u)
+    v_mean = sum(v) / len(v)
+    du = [a - u_mean for a in u]
+    return (sum(a * (b - v_mean) for a, b in zip(du, v))
+            / sum(a * a for a in du))
 
 
 @dataclass(frozen=True)
@@ -229,6 +235,8 @@ def manifold_closeness(m: Model, x0: float, z0: float, eps: float,
     a quarter of the room the patch margin leaves at either end.  The
     gap is of size eps * log(1/z0) plus an O(eps) drift.
     """
+    import numpy as np
+
     if n < 2:
         raise PreconditionError(f"need n >= 2 sample points, got {n}")
     if controls is None:

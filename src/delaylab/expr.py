@@ -24,8 +24,10 @@ the offending subexpression.  Parsed trees are immutable.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 from .errors import DelayLabError
 
@@ -94,13 +96,22 @@ class Call(_Node):
 
 @dataclass(frozen=True)
 class Expr:
-    """An immutable parsed expression; callable as ``e(x, z, eps)``."""
+    """An immutable parsed expression; callable as ``e(x, z, eps)``.
+
+    ``fn`` is the tree compiled once into nested closures, the only
+    evaluator.
+    """
 
     source: str
     root: _Node
+    fn: Callable[[float, float, float], float] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fn", _compile(self.root, self.source))
 
     def __call__(self, x: float, z: float, eps: float) -> float:
-        return evaluate(self, x, z, eps)
+        return self.fn(x, z, eps)
 
 
 _TOKEN_RE = re.compile(
@@ -232,27 +243,73 @@ def _fault(message: str, source: str, node: _Node) -> DomainFaultError:
     return DomainFaultError(message, source, node.span)
 
 
-def _eval(node: _Node, src: str, x: float, z: float, eps: float) -> float:
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_MATH = {"exp": math.exp, "log": math.log, "sqrt": math.sqrt,
+         "sin": math.sin, "cos": math.cos, "abs": abs}
+# functions with a restricted domain: (argument is outside, fault message)
+_DOMAINS = {"log": (lambda v: v <= 0.0, "log of a non-positive value"),
+            "sqrt": (lambda v: v < 0.0, "sqrt of a negative value")}
+
+
+def _compile(node: _Node, src: str):
+    """Closure ``(x, z, eps) -> float`` evaluating ``node``: finite
+    result or a ``DomainFaultError`` located at the faulting node."""
+    isfinite = math.isfinite
     if isinstance(node, Const):
-        return node.value
+        value = node.value
+        return lambda x, z, eps: value
     if isinstance(node, Var):
-        return {"x": x, "z": z, "eps": eps}[node.name]
+        return {"x": lambda x, z, eps: x,
+                "z": lambda x, z, eps: z,
+                "eps": lambda x, z, eps: eps}[node.name]
     if isinstance(node, Neg):
-        return -_eval(node.arg, src, x, z, eps)
-    if isinstance(node, BinOp):
-        a = _eval(node.left, src, x, z, eps)
-        b = _eval(node.right, src, x, z, eps)
-        if node.op == "+":
-            r = a + b
-        elif node.op == "-":
-            r = a - b
-        elif node.op == "*":
-            r = a * b
-        elif node.op == "/":
+        arg = _compile(node.arg, src)
+        return lambda x, z, eps: -arg(x, z, eps)
+    if isinstance(node, Call):
+        arg = _compile(node.arg, src)
+        func = node.func
+        fn = _MATH[func]
+        outside = _DOMAINS.get(func)
+
+        def call(x, z, eps):
+            v = arg(x, z, eps)
+            if outside is not None and outside[0](v):
+                raise _fault(outside[1], src, node)
+            try:
+                r = fn(v)
+            except OverflowError:
+                raise _fault(f"overflow in {func}", src, node) from None
+            if not isfinite(r):
+                raise _fault("non-finite result", src, node)
+            return r
+        return call
+    if not isinstance(node, BinOp):
+        raise AssertionError(f"unhandled node {node!r}")
+
+    left = _compile(node.left, src)
+    right = _compile(node.right, src)
+    if node.op in _ARITHMETIC:
+        apply = _ARITHMETIC[node.op]
+
+        def binop(x, z, eps):
+            r = apply(left(x, z, eps), right(x, z, eps))
+            if not isfinite(r):
+                raise _fault("non-finite result", src, node)
+            return r
+    elif node.op == "/":
+        def binop(x, z, eps):
+            a = left(x, z, eps)
+            b = right(x, z, eps)
             if b == 0.0:
                 raise _fault("division by zero", src, node)
             r = a / b
-        else:  # '^'
+            if not isfinite(r):
+                raise _fault("non-finite result", src, node)
+            return r
+    else:  # '^'
+        def binop(x, z, eps):
+            a = left(x, z, eps)
+            b = right(x, z, eps)
             if a == 0.0 and b < 0.0:
                 raise _fault("zero raised to a negative power", src, node)
             if a < 0.0 and b != math.floor(b):
@@ -261,36 +318,12 @@ def _eval(node: _Node, src: str, x: float, z: float, eps: float) -> float:
                 r = math.pow(a, b)
             except (OverflowError, ValueError):
                 raise _fault("overflow in power", src, node) from None
-        if not math.isfinite(r):
-            raise _fault("non-finite result", src, node)
-        return r
-    if isinstance(node, Call):
-        v = _eval(node.arg, src, x, z, eps)
-        try:
-            if node.func == "exp":
-                r = math.exp(v)
-            elif node.func == "log":
-                if v <= 0.0:
-                    raise _fault("log of a non-positive value", src, node)
-                r = math.log(v)
-            elif node.func == "sqrt":
-                if v < 0.0:
-                    raise _fault("sqrt of a negative value", src, node)
-                r = math.sqrt(v)
-            elif node.func == "sin":
-                r = math.sin(v)
-            elif node.func == "cos":
-                r = math.cos(v)
-            else:  # abs
-                r = abs(v)
-        except OverflowError:
-            raise _fault(f"overflow in {node.func}", src, node) from None
-        if not math.isfinite(r):
-            raise _fault("non-finite result", src, node)
-        return r
-    raise AssertionError(f"unhandled node {node!r}")
+            if not isfinite(r):
+                raise _fault("non-finite result", src, node)
+            return r
+    return binop
 
 
 def evaluate(expr: Expr, x: float, z: float, eps: float) -> float:
     """Evaluate ``expr`` at finite inputs; finite result or located fault."""
-    return _eval(expr.root, expr.source, x, z, eps)
+    return expr.fn(x, z, eps)

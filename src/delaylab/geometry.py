@@ -22,10 +22,9 @@ in closed form, without sampling the cycle.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .entryexit import EntryExitSolution, slow_curves
 from .errors import PreconditionError
@@ -63,6 +62,8 @@ def build_configuration(m: Model, sol: EntryExitSolution, z0: float,
     tau = 0 and the exit fiber at tau = tau1; both sit at zeta = 0
     because the delay exponent vanishes for any fixed positive z.
     """
+    import numpy as np
+
     if z0 <= 0.0:
         raise PreconditionError(f"z0 must be positive, got {z0}")
     if z0 > m.z_cap:
@@ -124,6 +125,8 @@ def _cumulative_on(m: Model, grid: np.ndarray):
     to grid[i] (and T likewise for 1/f) and lookup(x) fetches the
     value at a grid point by exact match.
     """
+    import numpy as np
+
     def ratio(x: float) -> float:
         return m.g(x, 0.0, 0.0) / m.f(x, 0.0, 0.0)
 
@@ -165,6 +168,8 @@ def build_manifolds(m: Model, x0: float, x1: float, delta: float,
     ``delta`` must stay below half the smaller of |x0| and x1, and
     x1 + delta must stay inside the window.
     """
+    import numpy as np
+
     x_min, x_max = m.window
     if not (x_min < x0 < 0.0 < x1 < x_max):
         raise PreconditionError(
@@ -251,6 +256,8 @@ def transversality_det(m: Model, x_hat: float, x1: float) -> float:
     form -f(x_hat) * g(x1): negative wherever f > 0 and g(x1) > 0, so
     a strictly negative value certifies the crossing.
     """
+    import numpy as np
+
     f_hat = m.f(x_hat, 0.0, 0.0)
     g_hat = m.g(x_hat, 0.0, 0.0)
     g1 = m.g(x1, 0.0, 0.0)
@@ -267,6 +274,8 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
 
     Brute force in chunks; both inputs are (n, 2) arrays.
     """
+    import numpy as np
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[1] != 2 or b.ndim != 2 or b.shape[1] != 2:
@@ -289,7 +298,7 @@ def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
     return max(directed(a, b), directed(b, a))
 
 
-def _farthest_on_segment(a: np.ndarray, b: np.ndarray,
+def _farthest_on_segment(a: list[float], b: list[float],
                          length: float) -> float:
     """max over t in [0, length] of min_p sqrt((t - a_p)^2 + b_p^2).
 
@@ -301,59 +310,75 @@ def _farthest_on_segment(a: np.ndarray, b: np.ndarray,
     t = 0, t = length or a breakpoint inside; only those are evaluated,
     each by its direct distance to the point owning the piece.
     """
-    c = a * a + b * b
-    # decreasing slope -2a; among equal slopes the smallest c sorts first
-    order = np.lexsort((c, a))
-    a_s, c_s = a[order].tolist(), c[order].tolist()
-    hull: list[int] = []
-    for j in range(len(a_s)):
-        if hull and a_s[hull[-1]] == a_s[j]:
+    c = [p * p + q * q for p, q in zip(a, b)]
+    # decreasing slope -2a; among equal slopes the smallest c sorts
+    # first, and equal (a, c) keep their input order
+    lines = sorted(zip(a, c, range(len(a))))
+    hull: list[tuple[float, float, int]] = []
+    for line in lines:
+        if hull and hull[-1][0] == line[0]:
             continue
+        aj, cj, _ = line
         while len(hull) >= 2:
-            i, k = hull[-2], hull[-1]
+            (ai, ci, _), (ak, ck, _) = hull[-2], hull[-1]
             # k is hidden once line j meets line i no later than k does
-            if ((c_s[j] - c_s[i]) * (a_s[k] - a_s[i])
-                    > (c_s[k] - c_s[i]) * (a_s[j] - a_s[i])):
+            if (cj - ci) * (ak - ai) > (ck - ci) * (aj - ai):
                 break
             hull.pop()
-        hull.append(j)
+        hull.append(line)
 
-    own = order[hull]
-    ha, hb, hc = a[own], b[own], c[own]
-    breaks = (hc[1:] - hc[:-1]) / (2.0 * (ha[1:] - ha[:-1]))
-    t = np.concatenate([(0.0, length),
-                        breaks[(breaks > 0.0) & (breaks < length)]])
-    piece = np.searchsorted(breaks, t)
-    return float(np.hypot(t - ha[piece], hb[piece]).max())
+    breaks = [(c2 - c1) / (2.0 * (a2 - a1))
+              for (a1, c1, _), (a2, c2, _) in zip(hull, hull[1:])]
+    bisect_left, hypot = bisect.bisect_left, math.hypot
+    far = 0.0
+    for t in [0.0, length] + [t for t in breaks if 0.0 < t < length]:
+        a_own, _, own = hull[bisect_left(breaks, t)]
+        d = hypot(t - a_own, b[own])
+        if d > far:
+            far = d
+    return far
 
 
-def cycle_distance(points: np.ndarray, x0: float, x1: float,
-                   z0: float) -> float:
+def cycle_distance(points, x0: float, x1: float, z0: float) -> float:
     """Exact symmetric Hausdorff distance from a planar point set to the
     singular cycle in the (x, z) plane.
 
     The cycle is the union of the three segments {x0} x [0, z0],
-    [x0, x1] x {0} and {x1} x [0, z0]; ``points`` is an (n, 2) array
-    of (x, z) pairs.  Points to cycle is the closed-form distance to the
-    nearest segment; cycle to points is a lower-envelope sweep along
-    each segment.
+    [x0, x1] x {0} and {x1} x [0, z0]; ``points`` is a nonempty
+    sequence of (x, z) pairs, such as an (n, 2) array.  Points to
+    cycle is the closed-form distance to the nearest segment; cycle to
+    points is a lower-envelope sweep along each segment.
     """
-    p = np.asarray(points, dtype=float)
-    if p.ndim != 2 or p.shape[1] != 2 or len(p) == 0:
-        raise PreconditionError("points must be a nonempty (n, 2) array")
+    try:
+        pairs = [(float(x), float(z)) for x, z in points]
+    except (TypeError, ValueError):
+        pairs = []
+    if not pairs:
+        raise PreconditionError(
+            "points must be a nonempty sequence of (x, z) pairs")
     if not (z0 > 0.0):
         raise PreconditionError(f"z0 must be positive, got {z0}")
     if not (x0 < x1):
         raise PreconditionError(f"need x0 < x1, got x0={x0}, x1={x1}")
 
-    x, z = p[:, 0], p[:, 1]
-    z_fiber = np.clip(z, 0.0, z0)
-    to_cycle = np.minimum.reduce([
-        np.hypot(x - x0, z - z_fiber),
-        np.hypot(x - np.clip(x, x0, x1), z),
-        np.hypot(x - x1, z - z_fiber),
-    ])
-    from_cycle = max(_farthest_on_segment(z, x - x0, z0),
-                     _farthest_on_segment(x - x0, z, x1 - x0),
-                     _farthest_on_segment(z, x - x1, z0))
-    return max(float(to_cycle.max()), from_cycle)
+    worst = 0.0   # largest squared distance to the nearest segment
+    for x, z in pairs:
+        dz = z - (0.0 if z < 0.0 else z0 if z > z0 else z)
+        dz2 = dz * dz
+        d2 = (x - x0) * (x - x0) + dz2
+        dx = x - (x0 if x < x0 else x1 if x > x1 else x)
+        e2 = dx * dx + z * z
+        if e2 < d2:
+            d2 = e2
+        e2 = (x - x1) * (x - x1) + dz2
+        if e2 < d2:
+            d2 = e2
+        if d2 > worst:
+            worst = d2
+    xs = [x for x, _ in pairs]
+    zs = [z for _, z in pairs]
+    dx0 = [x - x0 for x in xs]
+    from_cycle = max(_farthest_on_segment(zs, dx0, z0),
+                     _farthest_on_segment(dx0, zs, x1 - x0),
+                     _farthest_on_segment(zs, [x - x1 for x in xs], z0))
+    return max(math.sqrt(worst), from_cycle)

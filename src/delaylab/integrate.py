@@ -15,20 +15,21 @@ zeta = eps * log(1/z) in slow time tau:
 
 with exp(-zeta/eps) flushed to exactly 0 once zeta/eps > 745.  The
 stepper is an embedded Dormand-Prince 5(4) pair with proportional
-step control; stop sections are located by bisecting the cubic
-Hermite dense output of the accepted step down to a time tolerance.
+step control, run on the plain float pair (x, z) or (x, zeta); stop
+sections are located by bisecting the cubic Hermite dense output of
+the accepted step down to a time tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Sequence
 
 from .errors import (IntegrationError, MaxStepsExceededError, PreconditionError,
                      StepSizeUnderflowError, ZUnderflowError)
 from .model import InitialData, Model
+from .numerics import linspace
 
 Z_FLOOR = 1e-300     # the (x, z) chart is declared dead below this
 EXP_FLOOR = 745.0    # exp(-u) is exactly 0 in double precision past this
@@ -122,49 +123,51 @@ class Trajectory:
 
     ``state`` holds z in the 'xz' chart and zeta in the 'zeta' chart.
     ``t`` is fast time and ``tau = eps * t`` slow time in both charts.
+    The sample fields are tuples of floats (``event_flags`` of bools);
+    ``zeta()``, ``z()`` and ``xz_points()`` convert to lists, or return
+    ``state`` itself where it already holds the coordinate.
     ``error_estimate`` accumulates the per-step embedded error (a crude
     global-error proxy) and ``event_flags`` marks located crossings.
     """
 
     chart: str
     eps: float
-    t: np.ndarray
-    tau: np.ndarray
-    x: np.ndarray
-    state: np.ndarray
-    event_flags: np.ndarray
+    t: tuple[float, ...]
+    tau: tuple[float, ...]
+    x: tuple[float, ...]
+    state: tuple[float, ...]
+    event_flags: tuple[bool, ...]
     events: tuple[Event, ...]
     n_steps: int
     n_rejected: int
     error_estimate: float
     evaluations: int
 
-    def zeta(self) -> np.ndarray:
+    def zeta(self) -> Sequence[float]:
         if self.chart == "zeta":
             return self.state
         # zeta = eps * log(1/z); identically 0 in the frozen-drift limit
         if self.eps == 0.0:
-            return np.zeros_like(self.state)
-        return self.eps * np.log(1.0 / self.state)
+            return [0.0] * len(self.state)
+        eps = self.eps
+        return [eps * math.log(1.0 / z) for z in self.state]
 
-    def z(self) -> np.ndarray:
+    def z(self) -> Sequence[float]:
         """z values with unrepresentable entries flushed to exactly 0."""
         if self.chart == "xz":
             return self.state
-        u = self.state / self.eps
-        out = np.zeros_like(u)
-        ok = u <= EXP_FLOOR
-        out[ok] = np.exp(-u[ok])
-        return out
+        eps = self.eps
+        return [math.exp(-u) if u <= EXP_FLOOR else 0.0
+                for u in (zeta / eps for zeta in self.state)]
 
-    def xz_points(self) -> np.ndarray:
-        return np.column_stack([self.x, self.z()])
+    def xz_points(self) -> list[tuple[float, float]]:
+        return list(zip(self.x, self.z()))
 
 
 # Dormand-Prince 5(4) tableau.  _B is the order-5 propagated weight row
 # (FSAL: the 7th stage sits at the step end), _E the difference against
-# the embedded order-4 row used for the error estimate.
-_C = (0.0, 0.2, 0.3, 0.8, 8.0 / 9.0, 1.0)
+# the embedded order-4 row used for the error estimate.  The charts are
+# autonomous, so the stage nodes c_i never enter.
 _A = (
     (0.2,),
     (3.0 / 40.0, 9.0 / 40.0),
@@ -172,66 +175,84 @@ _A = (
     (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
     (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0,
      -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
-     11.0 / 84.0),
 )
+_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0,
+      11.0 / 84.0)
 _E = (71.0 / 57600.0, 0.0, -71.0 / 16695.0, 71.0 / 1920.0,
       -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0)
 
 
-def _hermite(theta: float, h: float, y0, y1, f0, f1):
-    """Cubic Hermite interpolant on one accepted step."""
+def _hermite(theta: float, h: float, y0, y1, f0, f1) -> tuple[float, float]:
+    """Cubic Hermite interpolant of the (x, state) pair on one step."""
     t2 = theta * theta
     t3 = t2 * theta
     h00 = 2.0 * t3 - 3.0 * t2 + 1.0
     h10 = t3 - 2.0 * t2 + theta
     h01 = -2.0 * t3 + 3.0 * t2
     h11 = t3 - t2
-    return h00 * y0 + (h10 * h) * f0 + h01 * y1 + (h11 * h) * f1
+    a = h10 * h
+    b = h11 * h
+    return (h00 * y0[0] + a * f0[0] + h01 * y1[0] + b * f1[0],
+            h00 * y0[1] + a * f0[1] + h01 * y1[1] + b * f1[1])
+
+
+def _ratio(e: float, scale: float) -> float:
+    """e / scale with IEEE semantics at scale = 0 (abs_tol = 0 on a
+    coordinate that is exactly 0 at both ends of the step)."""
+    if scale == 0.0:
+        return math.nan if e == 0.0 else math.inf
+    return e / scale
 
 
 class _EngineResult:
-    __slots__ = ("ts", "ys", "flags", "events", "n_steps", "n_rejected",
-                 "err_accum", "evals")
+    __slots__ = ("ts", "xs", "ss", "n_steps", "n_rejected", "err_accum",
+                 "evals")
 
     def __init__(self):
         self.ts: list[float] = []
-        self.ys: list[np.ndarray] = []
-        self.flags: list[bool] = []
-        self.events: list[tuple[int, float, np.ndarray]] = []
+        self.xs: list[float] = []
+        self.ss: list[float] = []     # z or zeta, matching the chart
         self.n_steps = 0
         self.n_rejected = 0
         self.err_accum = 0.0
         self.evals = 0
 
 
-def _run_engine(rhs, t0: float, y0: np.ndarray, event_fn, direction: int,
+def _run_engine(rhs, y0: tuple[float, float], event_fn, direction: int,
                 guard_x_positive: bool, state_guard, controls: Controls,
                 h0: float, h_max: float, dense_dt: float | None,
                 underflow_remedy: str) -> _EngineResult:
-    """Shared adaptive DP5(4) loop.
+    """Shared adaptive DP5(4) loop on the float pair (x, state).
 
-    ``event_fn(y)`` is the scalar section residual (None for no stop);
-    ``state_guard(t, y)`` may raise on invalid states after each
-    accepted step.  The loop ends at the first admissible crossing or
-    raises when a budget or validity guard trips.
+    ``rhs(x, s)`` returns the pair of derivatives, ``event_fn(x, s)``
+    the scalar section residual, and ``state_guard(t, x, s)`` may raise
+    on invalid states after each accepted step.  Time starts at 0.  The
+    loop ends at the first admissible crossing, which becomes the last
+    sample, or raises when a budget or validity guard trips.
     """
+    (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
+        (a61, a62, a63, a64, a65) = _A
+    b1, b2, b3, b4, b5, b6 = _B
+    e1, e2, e3, e4, e5, e6, e7 = _E
+    abs_tol, rel_tol = controls.abs_tol, controls.rel_tol
+    isfinite = math.isfinite
+
     res = _EngineResult()
-    t = float(t0)
-    y = np.array(y0, dtype=float)
-    f_cur = rhs(t, y)
+    t = 0.0
+    x, s = y0
+    k1x, k1s = rhs(x, s)
     res.evals += 1
-    if not np.all(np.isfinite(f_cur)):
+    if not (isfinite(k1x) and isfinite(k1s)):
         raise IntegrationError(f"non-finite derivative at t={t:.17g}")
 
-    res.ts.append(t)
-    res.ys.append(y.copy())
-    res.flags.append(False)
-    e_prev = float(event_fn(y)) if event_fn is not None else 0.0
+    ts_append, xs_append, ss_append = res.ts.append, res.xs.append, res.ss.append
+    ts_append(t)
+    xs_append(x)
+    ss_append(s)
+    e_prev = event_fn(x, s)
 
     h = min(h0, h_max)
     next_dense = t + dense_dt if dense_dt is not None else None
-    k = [np.empty_like(y) for _ in range(7)]
 
     while True:
         if res.n_steps >= controls.max_steps:
@@ -245,22 +266,39 @@ def _run_engine(rhs, t0: float, y0: np.ndarray, event_fn, direction: int,
                 f"step size underflow at t={t:.17g}" + underflow_remedy
             )
 
-        k[0] = f_cur
-        failed = False
-        for s in range(1, 6):
-            ys = y + h * sum(_A[s - 1][j] * k[j] for j in range(s))
-            k[s] = rhs(t + _C[s] * h, ys)
-        y_new = y + h * sum(_A[5][j] * k[j] for j in range(6))
-        k[6] = rhs(t + h, y_new)
+        k2x, k2s = rhs(x + h * (a21 * k1x), s + h * (a21 * k1s))
+        k3x, k3s = rhs(x + h * (a31 * k1x + a32 * k2x),
+                       s + h * (a31 * k1s + a32 * k2s))
+        k4x, k4s = rhs(x + h * (a41 * k1x + a42 * k2x + a43 * k3x),
+                       s + h * (a41 * k1s + a42 * k2s + a43 * k3s))
+        k5x, k5s = rhs(x + h * (a51 * k1x + a52 * k2x + a53 * k3x + a54 * k4x),
+                       s + h * (a51 * k1s + a52 * k2s + a53 * k3s + a54 * k4s))
+        k6x, k6s = rhs(x + h * (a61 * k1x + a62 * k2x + a63 * k3x + a64 * k4x
+                                + a65 * k5x),
+                       s + h * (a61 * k1s + a62 * k2s + a63 * k3s + a64 * k4s
+                                + a65 * k5s))
+        xn = x + h * (b1 * k1x + b2 * k2x + b3 * k3x + b4 * k4x + b5 * k5x
+                      + b6 * k6x)
+        sn = s + h * (b1 * k1s + b2 * k2s + b3 * k3s + b4 * k4s + b5 * k5s
+                      + b6 * k6s)
+        k7x, k7s = rhs(xn, sn)
         res.evals += 6
-        if not (np.all(np.isfinite(y_new)) and all(np.all(np.isfinite(ki)) for ki in k)):
+        if not (isfinite(xn) and isfinite(sn)
+                and isfinite(k2x) and isfinite(k2s) and isfinite(k3x)
+                and isfinite(k3s) and isfinite(k4x) and isfinite(k4s)
+                and isfinite(k5x) and isfinite(k5s) and isfinite(k6x)
+                and isfinite(k6s) and isfinite(k7x) and isfinite(k7s)):
             raise IntegrationError(
                 f"non-finite state or derivative inside step at t={t:.17g}"
             )
 
-        err_vec = h * sum(_E[j] * k[j] for j in range(7))
-        scale = controls.abs_tol + controls.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        ex = h * (e1 * k1x + e2 * k2x + e3 * k3x + e4 * k4x + e5 * k5x
+                  + e6 * k6x + e7 * k7x)
+        es = h * (e1 * k1s + e2 * k2s + e3 * k3s + e4 * k4s + e5 * k5s
+                  + e6 * k6s + e7 * k7s)
+        rx = _ratio(ex, abs_tol + rel_tol * max(abs(x), abs(xn)))
+        rs = _ratio(es, abs_tol + rel_tol * max(abs(s), abs(sn)))
+        err_norm = math.sqrt((rx * rx + rs * rs) / 2.0)
 
         if err_norm > 1.0:
             res.n_rejected += 1
@@ -269,84 +307,95 @@ def _run_engine(rhs, t0: float, y0: np.ndarray, event_fn, direction: int,
 
         # accepted
         res.n_steps += 1
-        res.err_accum += float(np.max(np.abs(err_vec)))
-        f_new = k[6]
+        res.err_accum += max(abs(ex), abs(es))
+        y, y_new = (x, s), (xn, sn)
+        f_cur, f_new = (k1x, k1s), (k7x, k7s)
         t_new = t + h
 
-        stop_at = None  # (t_star, y_star)
-        e_new = e_prev
-        if event_fn is not None:
-            e_new = float(event_fn(y_new))
-            crossed = False
-            if e_prev != 0.0:
-                if e_prev < 0.0 <= e_new and direction >= 0:
-                    crossed = True
-                elif e_prev > 0.0 >= e_new and direction <= 0:
-                    crossed = True
-            if crossed:
-                lo, hi = 0.0, 1.0
-                w_lo = e_prev
-                # bisect the Hermite interpolant down to the time tolerance
-                while (hi - lo) * h > controls.event_time_tol:
-                    mid = 0.5 * (lo + hi)
-                    y_mid = _hermite(mid, h, y, y_new, f_cur, f_new)
-                    w_mid = float(event_fn(y_mid))
-                    if w_mid == 0.0:
-                        lo = hi = mid
-                        break
-                    if (w_lo < 0.0) == (w_mid < 0.0):
-                        lo, w_lo = mid, w_mid
-                    else:
-                        hi = mid
-                theta = 0.5 * (lo + hi)
-                y_star = _hermite(theta, h, y, y_new, f_cur, f_new)
-                if (not guard_x_positive) or y_star[0] > 0.0:
-                    stop_at = (t + theta * h, y_star)
+        t_star = None
+        e_new = event_fn(xn, sn)
+        crossed = False
+        if e_prev != 0.0:
+            if e_prev < 0.0 <= e_new and direction >= 0:
+                crossed = True
+            elif e_prev > 0.0 >= e_new and direction <= 0:
+                crossed = True
+        if crossed:
+            lo, hi = 0.0, 1.0
+            w_lo = e_prev
+            # bisect the Hermite interpolant down to the time tolerance
+            while (hi - lo) * h > controls.event_time_tol:
+                mid = 0.5 * (lo + hi)
+                w_mid = event_fn(*_hermite(mid, h, y, y_new, f_cur, f_new))
+                if w_mid == 0.0:
+                    lo = hi = mid
+                    break
+                if (w_lo < 0.0) == (w_mid < 0.0):
+                    lo, w_lo = mid, w_mid
+                else:
+                    hi = mid
+            theta = 0.5 * (lo + hi)
+            y_star = _hermite(theta, h, y, y_new, f_cur, f_new)
+            if (not guard_x_positive) or y_star[0] > 0.0:
+                t_star = t + theta * h
 
-        if stop_at is not None:
-            t_star, y_star = stop_at
-            if next_dense is not None:
-                while next_dense < t_star - 1e-15 * max(1.0, abs(t_star)):
-                    theta_d = (next_dense - t) / h
-                    y_d = _hermite(theta_d, h, y, y_new, f_cur, f_new)
-                    res.ts.append(next_dense)
-                    res.ys.append(y_d)
-                    res.flags.append(False)
-                    next_dense += dense_dt
-            res.ts.append(t_star)
-            res.ys.append(np.array(y_star, dtype=float))
-            res.flags.append(True)
-            res.events.append((len(res.ts) - 1, t_star, np.array(y_star)))
-            return res
-
+        t_end = t_new if t_star is None else t_star
         if next_dense is not None:
-            while next_dense < t_new - 1e-15 * max(1.0, abs(t_new)):
-                theta_d = (next_dense - t) / h
-                y_d = _hermite(theta_d, h, y, y_new, f_cur, f_new)
-                res.ts.append(next_dense)
-                res.ys.append(y_d)
-                res.flags.append(False)
+            dense_end = t_end - 1e-15 * max(1.0, abs(t_end))
+            while next_dense < dense_end:
+                x_d, s_d = _hermite((next_dense - t) / h, h, y, y_new,
+                                    f_cur, f_new)
+                ts_append(next_dense)
+                xs_append(x_d)
+                ss_append(s_d)
                 next_dense += dense_dt
 
-        res.ts.append(t_new)
-        res.ys.append(y_new.copy())
-        res.flags.append(False)
+        if t_star is not None:
+            ts_append(t_star)
+            xs_append(y_star[0])
+            ss_append(y_star[1])
+            return res
 
-        state_guard(t_new, y_new)
+        ts_append(t_new)
+        xs_append(xn)
+        ss_append(sn)
+        state_guard(t_new, xn, sn)
 
         t = t_new
-        y = y_new
-        f_cur = f_new
+        x, s = xn, sn
+        k1x, k1s = k7x, k7s
         e_prev = e_new
         factor = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm ** -0.2))
         h *= factor
 
 
+def _to_trajectory(chart: str, eps: float, res: _EngineResult,
+                   stop: Section) -> Trajectory:
+    """Package an engine run, whose last sample is the located crossing;
+    its times are fast time t in the 'xz' chart and slow time tau in
+    the 'zeta' chart."""
+    if chart == "xz":
+        t = tuple(res.ts)
+        tau = tuple(eps * v for v in t)
+    else:
+        tau = tuple(res.ts)
+        t = tuple(v / eps for v in tau)
+    x, state = tuple(res.xs), tuple(res.ss)
+    n = len(t)
+    event = Event(index=n - 1, t=t[-1], tau=tau[-1], x=x[-1], state=state[-1],
+                  section=stop)
+    return Trajectory(chart=chart, eps=eps, t=t, tau=tau, x=x, state=state,
+                      event_flags=(False,) * (n - 1) + (True,),
+                      events=(event,),
+                      n_steps=res.n_steps, n_rejected=res.n_rejected,
+                      error_estimate=res.err_accum, evaluations=res.evals)
+
+
 def _grid_extrema(m: Model, n: int = 65):
     """min f and max |g| over the window at z = 0, eps = 0."""
-    xs = np.linspace(m.window[0], m.window[1], n)
-    f_min = min(m.f(float(x), 0.0, 0.0) for x in xs)
-    g_max = max(abs(m.g(float(x), 0.0, 0.0)) for x in xs)
+    xs = linspace(m.window[0], m.window[1], n)
+    f_min = min(m.f(x, 0.0, 0.0) for x in xs)
+    g_max = max(abs(m.g(x, 0.0, 0.0)) for x in xs)
     return f_min, g_max
 
 
@@ -363,10 +412,10 @@ def _validate_start(m: Model, d: InitialData):
 def _window_guard(m: Model):
     x_min, x_max = m.window
 
-    def guard(t: float, y: np.ndarray):
-        if not (x_min <= y[0] <= x_max):
+    def guard(t: float, x: float, s: float):
+        if not (x_min <= x <= x_max):
             raise IntegrationError(
-                f"x={y[0]:.17g} left the validity window [{x_min}, {x_max}] "
+                f"x={x:.17g} left the validity window [{x_min}, {x_max}] "
                 f"before any stop section fired (t={t:.17g})"
             )
     return guard
@@ -388,59 +437,38 @@ def integrate_xz(m: Model, d: InitialData, stop: Section,
     t_char = 1.0 / max(g_max, 1e-6)
     h0 = controls.initial_step if controls.initial_step is not None else 1e-4 * t_char
     h_max = controls.max_step if controls.max_step is not None else t_char
+    f, g = m.f, m.g
 
-    def rhs(t: float, y: np.ndarray) -> np.ndarray:
-        x, z = float(y[0]), float(y[1])
-        return np.array((eps * m.f(x, z, eps), m.g(x, z, eps) * z))
+    def rhs(x: float, z: float) -> tuple[float, float]:
+        return eps * f(x, z, eps), g(x, z, eps) * z
 
     window_guard = _window_guard(m)
 
-    def guard(t: float, y: np.ndarray):
-        if y[1] <= Z_FLOOR:
+    def guard(t: float, x: float, z: float):
+        if z <= Z_FLOOR:
             raise ZUnderflowError(
-                f"z={y[1]:.6g} underflowed below {Z_FLOOR:g} at t={t:.17g}; "
+                f"z={z:.6g} underflowed below {Z_FLOOR:g} at t={t:.17g}; "
                 "integrate in the logarithmic chart (integrate_zeta) instead"
             )
-        window_guard(t, y)
+        window_guard(t, x, z)
 
+    c = stop.value
     if stop.var == "z":
-        c = stop.value
-
-        def event(y: np.ndarray) -> float:
-            return float(y[1]) - c
-        direction = stop.direction
+        def event(x: float, z: float) -> float:
+            return z - c
     elif stop.var == "x":
-        c = stop.value
-
-        def event(y: np.ndarray) -> float:
-            return float(y[0]) - c
-        direction = stop.direction
+        def event(x: float, z: float) -> float:
+            return x - c
     else:  # zeta section expressed through z
-        c = stop.value
-
-        def event(y: np.ndarray) -> float:
-            return eps * math.log(1.0 / float(y[1])) - c
-        direction = stop.direction
+        def event(x: float, z: float) -> float:
+            return eps * math.log(1.0 / z) - c
 
     remedy = ("; z decays exponentially fast in this chart, consider the "
               "logarithmic chart (integrate_zeta)")
-    res = _run_engine(rhs, 0.0, np.array((d.x0, d.z0)), event, direction,
+    res = _run_engine(rhs, (d.x0, d.z0), event, stop.direction,
                       stop.require_x_positive, guard, controls, h0, h_max,
                       controls.sample_dt, remedy)
-
-    ts = np.array(res.ts)
-    ys = np.array(res.ys)
-    events = tuple(
-        Event(index=i, t=tv, tau=eps * tv, x=float(yv[0]), state=float(yv[1]),
-              section=stop)
-        for i, tv, yv in res.events
-    )
-    return Trajectory(chart="xz", eps=eps, t=ts, tau=eps * ts,
-                      x=ys[:, 0], state=ys[:, 1],
-                      event_flags=np.array(res.flags, dtype=bool),
-                      events=events, n_steps=res.n_steps,
-                      n_rejected=res.n_rejected,
-                      error_estimate=res.err_accum, evaluations=res.evals)
+    return _to_trajectory("xz", eps, res, stop)
 
 
 def integrate_zeta(m: Model, d: InitialData, stop: Section,
@@ -475,56 +503,36 @@ def integrate_zeta(m: Model, d: InitialData, stop: Section,
     # to z_cap there so the step is rejected on error, not by overflow.
     # The clamped and true right-hand sides agree wherever z <= z_cap.
     u_cap = math.log(1.0 / m.z_cap)
+    z_cap = m.z_cap
+    f, g, exp = m.f, m.g, math.exp
 
-    def rhs(tau: float, y: np.ndarray) -> np.ndarray:
-        x, zeta = float(y[0]), float(y[1])
+    def rhs(x: float, zeta: float) -> tuple[float, float]:
         u = zeta / eps
         if u > EXP_FLOOR:
             z = 0.0
         elif u < u_cap:
-            z = m.z_cap
+            z = z_cap
         else:
-            z = math.exp(-u)
-        return np.array((m.f(x, z, eps), -m.g(x, z, eps)))
-
-    guard = _window_guard(m)
+            z = exp(-u)
+        return f(x, z, eps), -g(x, z, eps)
 
     if stop.var == "z":
         c = eps * math.log(1.0 / stop.value)
         direction = -stop.direction
-
-        def event(y: np.ndarray) -> float:
-            return float(y[1]) - c
-    elif stop.var == "zeta":
+    else:
         c = stop.value
         direction = stop.direction
+    if stop.var == "x":
+        def event(x: float, zeta: float) -> float:
+            return x - c
+    else:
+        def event(x: float, zeta: float) -> float:
+            return zeta - c
 
-        def event(y: np.ndarray) -> float:
-            return float(y[1]) - c
-    else:  # x section
-        c = stop.value
-        direction = stop.direction
-
-        def event(y: np.ndarray) -> float:
-            return float(y[0]) - c
-
-    res = _run_engine(rhs, 0.0, np.array((d.x0, zeta_init)), event, direction,
-                      stop.require_x_positive, guard, controls, h0, h_max,
-                      dense_dt, "")
-
-    taus = np.array(res.ts)
-    ys = np.array(res.ys)
-    events = tuple(
-        Event(index=i, t=tv / eps, tau=tv, x=float(yv[0]), state=float(yv[1]),
-              section=stop)
-        for i, tv, yv in res.events
-    )
-    return Trajectory(chart="zeta", eps=eps, t=taus / eps, tau=taus,
-                      x=ys[:, 0], state=ys[:, 1],
-                      event_flags=np.array(res.flags, dtype=bool),
-                      events=events, n_steps=res.n_steps,
-                      n_rejected=res.n_rejected,
-                      error_estimate=res.err_accum, evaluations=res.evals)
+    res = _run_engine(rhs, (d.x0, zeta_init), event, direction,
+                      stop.require_x_positive, _window_guard(m), controls,
+                      h0, h_max, dense_dt, "")
+    return _to_trajectory("zeta", eps, res, stop)
 
 
 def min_z_exponent(traj: Trajectory, eps: float) -> float:
@@ -545,11 +553,11 @@ def min_z_exponent(traj: Trajectory, eps: float) -> float:
         raise PreconditionError(
             f"need at least 3 samples to locate the maximum, got {n}"
         )
-    i = int(np.argmax(traj.state))
+    i = max(range(n), key=traj.state.__getitem__)
     if i == 0 or i == n - 1:
-        return float(traj.state[i])
-    t0, t1, t2 = (float(traj.tau[j]) for j in (i - 1, i, i + 1))
-    v0, v1, v2 = (float(traj.state[j]) for j in (i - 1, i, i + 1))
+        return traj.state[i]
+    t0, t1, t2 = traj.tau[i - 1:i + 2]
+    v0, v1, v2 = traj.state[i - 1:i + 2]
     d1 = (v1 - v0) / (t1 - t0)
     d2 = (v2 - v1) / (t2 - t1)
     curv = (d2 - d1) / (t2 - t0)
@@ -558,4 +566,4 @@ def min_z_exponent(traj: Trajectory, eps: float) -> float:
     t_peak = 0.5 * (t0 + t1) - d1 / (2.0 * curv)
     if not (t0 <= t_peak <= t2):
         return v1
-    return float(v0 + d1 * (t_peak - t0) + curv * (t_peak - t0) * (t_peak - t1))
+    return v0 + d1 * (t_peak - t0) + curv * (t_peak - t0) * (t_peak - t1)

@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import expr as _expr
 from .errors import ModelLookupError, PreconditionError
+from .numerics import linspace
 
 Evaluator = Callable[[float, float, float], float]
 
@@ -116,18 +115,18 @@ def check_hypotheses(m: Model, grid_n: int = 1024) -> HypothesisReport:
     if grid_n < 16:
         raise PreconditionError(f"grid_n must be at least 16, got {grid_n}")
     x_min, x_max = m.window
-    xs = np.linspace(x_min, x_max, grid_n)
+    xs = linspace(x_min, x_max, grid_n)
 
     def first_bad(points, predicate, evaluator):
         for x in points:
-            v = evaluator(float(x))
+            v = evaluator(x)
             if not predicate(v):
-                return (float(x), float(v))
+                return (x, float(v))
         return None
 
     f_bad = first_bad(xs, lambda v: v > 0.0, lambda x: m.f(x, 0.0, 0.0))
-    left = xs[xs < -SIGN_EXCLUSION_RADIUS]
-    right = xs[xs > SIGN_EXCLUSION_RADIUS]
+    left = [x for x in xs if x < -SIGN_EXCLUSION_RADIUS]
+    right = [x for x in xs if x > SIGN_EXCLUSION_RADIUS]
     g_left_bad = first_bad(left, lambda v: v < 0.0, lambda x: m.g(x, 0.0, 0.0))
     g_right_bad = first_bad(right, lambda v: v > 0.0, lambda x: m.g(x, 0.0, 0.0))
 
@@ -155,10 +154,10 @@ def validate_initial(m: Model, d: InitialData, grid_n: int = 256) -> HypothesisR
     if d.z0 > m.z_cap:
         raise PreconditionError(f"z0={d.z0} exceeds z_cap={m.z_cap}")
     bad = None
-    for z in np.linspace(0.0, d.z0, grid_n):
-        v = m.g(d.x0, float(z), 0.0)
+    for z in linspace(0.0, d.z0, grid_n):
+        v = m.g(d.x0, z, 0.0)
         if not v < 0.0:
-            bad = (float(z), float(v))
+            bad = (z, float(v))
             break
     check = HypothesisCheck("g(x0, z, 0) < 0 on [0, z0]", bad is None, bad)
     return HypothesisReport(m.name, grid_n, (check,))
@@ -204,15 +203,11 @@ def get_model(name: str) -> Model:
 def model_from_expressions(name: str, f_text: str, g_text: str,
                            window: tuple[float, float],
                            z_cap: float = 1.0) -> Model:
-    """Build a model from expression text in x, z, eps."""
-    fe = _expr.parse(f_text)
-    ge = _expr.parse(g_text)
+    """Build a model from expression text in x, z, eps.
 
-    def f(x: float, z: float, eps: float) -> float:
-        return _expr.evaluate(fe, x, z, eps)
-
-    def g(x: float, z: float, eps: float) -> float:
-        return _expr.evaluate(ge, x, z, eps)
-
+    ``f`` and ``g`` are the expressions' compiled closures.
+    """
+    f = _expr.parse(f_text).fn
+    g = _expr.parse(g_text).fn
     return Model(name, f, g, (float(window[0]), float(window[1])),
                  z_cap=float(z_cap), f_text=f_text, g_text=g_text)

@@ -7,7 +7,8 @@ interval with the largest error is bisected until the accumulated
 estimate meets the requested tolerance.  ``find_root`` is the classic
 Brent bracketing scheme: inverse-quadratic/secant steps with a
 bisection fallback, so convergence is superlinear but termination is
-guaranteed.
+guaranteed.  ``linspace`` is the evenly spaced grid the sign checks
+and step-size heuristics sample on.
 """
 
 from __future__ import annotations
@@ -38,6 +39,16 @@ _WG = (
     0.12948496616886969, 0.2797053914892767, 0.3818300505051189,
     0.41795918367346939,
 )
+
+
+def linspace(lo: float, hi: float, n: int) -> list[float]:
+    """``n >= 2`` evenly spaced points from lo to hi inclusive.
+
+    The same floats as ``numpy.linspace(lo, hi, n)`` for a nonzero
+    step: point i is i * ((hi - lo) / (n - 1)) + lo and the last is hi.
+    """
+    step = (hi - lo) / (n - 1)
+    return [i * step + lo for i in range(n - 1)] + [hi]
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,12 @@ files.  Wall-clock timings never enter serialized output.
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from ._version import VERSION
 from .entryexit import EntryExitSolution, SlowCurves
-from .experiment import GapProfile, SweepReport
+from .experiment import SweepReport
 from .geometry import ManifoldPatch, SingularConfiguration
 from .integrate import EXP_FLOOR, Trajectory
 from .model import Model
@@ -29,7 +28,7 @@ def fmt(v: float) -> str:
 def _cell(v) -> str:
     if isinstance(v, str):
         return v
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+    if isinstance(v, int) and not isinstance(v, bool):
         return str(int(v))
     return fmt(v)
 
@@ -107,13 +106,13 @@ def write_trajectory_csv(path: str, traj: Trajectory,
     """
     names = ("t", "tau", "x", "z", "zeta", "event")
     zeta = traj.zeta()
-    flags = traj.event_flags.astype(int)
+    flags = traj.event_flags
 
     def rows():
         if traj.chart == "zeta":
             for i in range(len(traj.t)):
                 u = traj.state[i] / traj.eps
-                z_cell = "" if u > EXP_FLOOR else fmt(np.exp(-u))
+                z_cell = "" if u > EXP_FLOOR else fmt(math.exp(-u))
                 yield (traj.t[i], traj.tau[i], traj.x[i], z_cell,
                        traj.state[i], int(flags[i]))
         else:
@@ -197,10 +196,3 @@ def write_manifold_csv(path: str, patch: ManifoldPatch,
                 yield (p1, p2, pt[0], pt[1], pt[2])
 
     write_csv(path, names, rows(), header_lines)
-
-
-def write_gap_csv(path: str, profile: GapProfile,
-                  header_lines: Sequence[str] = ()) -> None:
-    names = ("x", "gap")
-    rows = zip(profile.x, profile.gap)
-    write_csv(path, names, rows, header_lines)

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,8 +118,31 @@ def test_usage_errors_exit_64(capsys, tmp_path):
         ("simulate", "--model", "linear", "--x0", "-1", "--z0", "0.1",
          "--eps", "0.05", "--rel-tol", "-1"),                 # tolerance < 0
     )
+    # --config values that are not numbers (or not a pair, for window)
+    configs = (
+        ("simulate", {"rel_tol": "abc"}),
+        ("simulate", {"max_steps": "many"}),
+        ("exit", {"x0": "abc"}),
+        ("simulate", {"z0": [0.1]}),
+        ("sweep", {"eps": [0.1, "x"]}),
+        ("simulate", {"eps": [0.1]}),
+        ("check", {"window": [-1.0, "x"]}),
+        ("check", {"window": 1.5}),
+        ("check", {"z_cap": "big"}),
+        ("simulate", {"chart": "polar"}),
+    )
+    base = {"simulate": {"x0": -1, "z0": 0.1, "eps": 0.05},
+            "sweep": {"x0": -1, "z0": 0.1, "eps": [0.2, 0.1]},
+            "exit": {"x0": -1}, "check": {}}
+    for i, (command, bad) in enumerate(configs):
+        path = tmp_path / f"cfg{i}.json"
+        model = {"f": "1", "g": "x"} if "window" in bad or "z_cap" in bad \
+            else {"model": "linear"}
+        path.write_text(json.dumps({**model, **base[command], **bad}))
+        cases += ((command, "--config", str(path)),)
     for argv in cases:
-        rc, _, err = run(capsys, *argv, "--out-dir", od)
+        out_dir = ("--out-dir", od) if argv[0] != "check" else ()
+        rc, _, err = run(capsys, *argv, *out_dir)
         assert rc == 64, argv
         assert "usage error" in err, argv
     rc = main([])  # no command at all
@@ -282,3 +309,48 @@ def test_check_cli(capsys, tmp_path):
     rc, out, _ = run(capsys, "check", "--f", "-1", "--g", "x",
                      "--window", "-1.5", "1.5", "--grid-n", "64")
     assert rc == 1 and "FAIL" in out
+
+
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run_python(code: str, cwd) -> str:
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def test_float_paths_never_import_numpy(tmp_path):
+    # simulate (both charts), sweep, exit and check run on plain floats;
+    # only the geometry builders load numpy
+    code = """
+import sys
+from delaylab.cli import main
+od = ["--out-dir", "."]
+model = ["--f", "1 + 0.1*z", "--g", "x + 0.5*z"]
+start = ["--x0", "-1", "--z0", "0.1"]
+runs = (
+    ["simulate", *model, *start, "--eps", "0.05", "--chart", "zeta", *od],
+    ["simulate", *model, *start, "--eps", "0.05", "--chart", "xz", *od],
+    ["sweep", "--model", "linear", *start, "--eps", "0.2,0.1", *od],
+    ["exit", "--model", "linear", "--x0", "-1", *od],
+    ["check", "--model", "linear"],
+)
+for argv in runs:
+    assert main(argv) == 0, argv
+assert "numpy" not in sys.modules, "numpy was imported"
+print("OK")
+"""
+    assert _run_python(code, tmp_path).splitlines()[-1] == "OK"
+    code = """
+import sys
+from delaylab.cli import main
+assert main(["geometry", "--model", "linear", "--x0", "-1", "--z0", "0.1",
+             "--n", "9", "--config-n", "17", "--out-dir", "."]) == 0
+assert "numpy" in sys.modules
+print("OK")
+"""
+    assert _run_python(code, tmp_path).splitlines()[-1] == "OK"
+    assert (tmp_path / "manifold_right.csv").exists()

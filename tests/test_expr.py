@@ -7,6 +7,7 @@ import pytest
 
 from delaylab.expr import (DomainFaultError, ExpressionError, ExprSyntaxError,
                            UnknownNameError, evaluate, parse)
+from delaylab.model import model_from_expressions
 
 
 def test_arithmetic_precedence():
@@ -128,3 +129,22 @@ def test_non_finite_result_is_fault():
         parse("x*x")(1e200, 0, 0)
     with pytest.raises(DomainFaultError):
         parse("x + x")(1e308, 0, 0)
+
+
+def test_model_faults_carry_the_evaluate_location():
+    # a model's f is the compiled closure: the same fault, at the same
+    # place, as evaluate on the parsed expression
+    cases = (
+        ("1 + 1/x", 0.0), ("2 + log(x - 2)", 0.0), ("sqrt(x) + 1", -1.0),
+        ("1 + x^-1", 0.0), ("(x)^0.5", -2.0), ("exp(x)", 1000.0),
+        ("x*x + 1", 1e200), ("x + x", 1e308), ("1 - 10^x", 400.0),
+    )
+    for src, x in cases:
+        with pytest.raises(DomainFaultError) as direct:
+            evaluate(parse(src), x, 0.0, 0.0)
+        m = model_from_expressions("m", src, "x", (-1.0, 1.0))
+        with pytest.raises(DomainFaultError) as via_model:
+            m.f(x, 0.0, 0.0)
+        assert via_model.value.offset == direct.value.offset, src
+        assert via_model.value.span == direct.value.span, src
+        assert str(via_model.value) == str(direct.value), src

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from delaylab.entryexit import solve_exit
 from delaylab.errors import (IntegrationError, MaxStepsExceededError,
@@ -48,8 +50,8 @@ def test_frozen_drift_keeps_x_constant():
     m = get_model("linear")
     traj = integrate_xz(m, InitialData(-1.0, 0.1, 0.0),
                         Section("z", 0.01, direction=-1))
-    assert np.max(np.abs(traj.x + 1.0)) <= 1e-14
-    assert np.all(traj.tau == 0.0)
+    assert np.max(np.abs(np.asarray(traj.x) + 1.0)) <= 1e-14
+    assert np.all(np.asarray(traj.tau) == 0.0)
     # z' = -z at x = -1, so z hits 0.01 at t = ln 10
     assert len(traj.events) == 1
     assert abs(traj.events[0].t - math.log(10.0)) <= 1e-7
@@ -122,6 +124,29 @@ def test_charts_agree_on_exit_point():
         assert abs(raw.events[0].x - log.events[0].x) <= 1e-6
 
 
+@settings(max_examples=40, deadline=None)
+@given(a=st.floats(0.5, 1.5), beta=st.floats(-0.5, 0.5),
+       x0=st.floats(-1.0, -0.4))
+def test_both_charts_exit_at_the_closed_form_root(a, beta, x0):
+    # f = 1, g = a x + b x^2 has no z in it, so the return to z = z0
+    # happens at the x1 > 0 with a (x1^2 - x0^2)/2 + b (x1^3 - x0^3)/3 = 0
+    # for every eps.  Dividing out x1 - x0 leaves A x1^2 + B x1 + x0 B = 0
+    # with A = b/3 and B = a/2 + b x0/3 > 0, solved in its stable form.
+    b = beta * a
+    big_b = a / 2.0 + b * x0 / 3.0
+    x1 = -2.0 * x0 * big_b / (big_b + math.sqrt(big_b * (a / 2.0 - b * x0)))
+    assume(x1 < 1.4)
+    m = model_from_expressions("poly", "1", f"{a!r}*x + {b!r}*x^2",
+                               (-1.5, 1.5))
+    stop = Section("z", 0.1, direction=1, require_x_positive=True)
+    # z dips as low as about 1e-10 in the (x, z) chart: control its error
+    # relatively, not against an absolute floor near that size
+    relative = Controls(rel_tol=1e-12, abs_tol=1e-18)
+    for integrator in (integrate_xz, integrate_zeta):
+        traj = integrator(m, InitialData(x0, 0.1, 0.05), stop, relative)
+        assert abs(traj.events[-1].x - x1) <= 1e-8, integrator.__name__
+
+
 def test_z_and_zeta_sections_are_equivalent():
     m = get_model("linear")
     eps, z0 = 0.1, 0.1
@@ -140,13 +165,13 @@ def test_time_bookkeeping_and_ordering():
     traj = integrate_zeta(m, InitialData(-1.0, 0.1, eps),
                           Section("z", 0.1, direction=1, require_x_positive=True))
     assert np.all(np.diff(traj.t) > 0.0)
-    assert np.max(np.abs(traj.tau - eps * traj.t)) <= 1e-12 * max(1.0, traj.t[-1])
+    assert np.max(np.abs(np.asarray(traj.tau) - eps * np.asarray(traj.t))) <= 1e-12 * max(1.0, traj.t[-1])
     assert traj.event_flags[-1]
     assert traj.events[0].index == len(traj.t) - 1
     raw = integrate_xz(m, InitialData(-1.0, 0.1, eps),
                        Section("z", 0.1, direction=1, require_x_positive=True))
     assert np.all(np.diff(raw.t) > 0.0)
-    assert np.max(np.abs(raw.tau - eps * raw.t)) <= 1e-12 * max(1.0, raw.t[-1])
+    assert np.max(np.abs(np.asarray(raw.tau) - eps * np.asarray(raw.t))) <= 1e-12 * max(1.0, raw.t[-1])
 
 
 def test_event_state_honors_section_value():
