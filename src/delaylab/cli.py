@@ -21,17 +21,15 @@ import os
 import sys
 
 from ._version import VERSION
-from .entryexit import slow_curves, solve_exit
 from .errors import (DelayLabError, NoExitInWindowError, PreconditionError,
                      UsageError)
 from .expr import ExpressionError
-from .experiment import run_sweep
-from .geometry import build_configuration, build_manifolds, transversality_det
-from .integrate import Controls, Section, integrate_xz, integrate_zeta
 from .model import (InitialData, Model, builtin_names, check_hypotheses,
                     get_model, model_from_expressions, validate_initial)
 from . import output
 
+# The numerical modules are imported by the commands that use them, so
+# a process loads only what its command needs.
 _DEFAULT_WINDOW = (-1.5, 1.5)
 
 
@@ -212,7 +210,9 @@ def _resolve_out_dir(args, cfg: dict) -> str:
     return out
 
 
-def _resolve_controls(args, cfg: dict) -> Controls:
+def _resolve_controls(args, cfg: dict):
+    from .integrate import Controls
+
     kwargs = {}
     for name in ("rel_tol", "abs_tol", "max_steps", "initial_step",
                  "max_step", "sample_dt"):
@@ -230,6 +230,8 @@ _DIRECTIONS = {"up": +1, "down": -1, "any": 0}
 
 
 def _cmd_exit(args, cfg: dict) -> int:
+    from .entryexit import slow_curves, solve_exit
+
     m = _resolve_model(args, cfg)
     out_dir = _resolve_out_dir(args, cfg)
     x0 = _float_arg(args, cfg, "x0")
@@ -250,6 +252,8 @@ def _cmd_exit(args, cfg: dict) -> int:
 
 
 def _cmd_simulate(args, cfg: dict) -> int:
+    from .integrate import Section, integrate_xz, integrate_zeta
+
     m = _resolve_model(args, cfg)
     out_dir = _resolve_out_dir(args, cfg)
     controls = _resolve_controls(args, cfg)
@@ -322,6 +326,8 @@ def _parse_eps_list(raw) -> list[float]:
 
 
 def _cmd_sweep(args, cfg: dict) -> int:
+    from .experiment import run_sweep
+
     m = _resolve_model(args, cfg)
     out_dir = _resolve_out_dir(args, cfg)
     controls = _resolve_controls(args, cfg)
@@ -367,6 +373,10 @@ def _cmd_sweep(args, cfg: dict) -> int:
 
 
 def _cmd_geometry(args, cfg: dict) -> int:
+    from .entryexit import solve_exit
+    from .geometry import (build_configuration, build_manifolds,
+                           transversality_det)
+
     m = _resolve_model(args, cfg)
     out_dir = _resolve_out_dir(args, cfg)
     x0 = _float_arg(args, cfg, "x0")

@@ -15,15 +15,14 @@ zeta_plus/tau_plus (carried back from a candidate exit point).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import numerics
 from .errors import DelayLabError, NoExitInWindowError, PreconditionError
 from .model import Model
 
 
-@dataclass(frozen=True)
-class EntryExitSolution:
+class EntryExitSolution(NamedTuple):
     x0: float
     x1: float
     zeta0: float
@@ -143,8 +142,7 @@ def solve_exit(m: Model, x0: float, rel_tol: float = 1e-12,
                              residual=float(residual), evaluations=evals)
 
 
-@dataclass(frozen=True)
-class SlowCurves:
+class SlowCurves(NamedTuple):
     """Coordinate curves of the limiting slow flow sampled on a grid."""
 
     x: np.ndarray

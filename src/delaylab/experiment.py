@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import replace
+from typing import NamedTuple
 
 from .entryexit import EntryExitSolution, solve_exit
 from .errors import DelayLabError, PreconditionError
@@ -33,8 +34,7 @@ _QUANTITIES = (
 )
 
 
-@dataclass(frozen=True)
-class SweepRecord:
+class SweepRecord(NamedTuple):
     """Measurements for a single eps (wall time is informational only)."""
 
     eps: float
@@ -46,14 +46,12 @@ class SweepRecord:
     wall_time_s: float
 
 
-@dataclass(frozen=True)
-class SweepFailure:
+class SweepFailure(NamedTuple):
     eps: float
     error: str
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     model_name: str
     x0: float
     z0: float
@@ -107,9 +105,11 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
             f"probe step must lie in (0, |x0|), got {h_probe}"
         )
 
+    probe_controls = replace(controls, sample_dt=1e9)   # only the exit is read
+
     def exit_x_from(x_start: float, eps: float) -> float:
         traj = integrate_zeta(m, InitialData(x0=x_start, z0=z0, eps=eps),
-                              stop, controls)
+                              stop, probe_controls)
         return traj.events[-1].x
 
     def one(eps: float) -> SweepRecord:
@@ -169,8 +169,7 @@ def _slope(u: list[float], v: list[float]) -> float:
             / sum(a * a for a in du))
 
 
-@dataclass(frozen=True)
-class ProbeResult:
+class ProbeResult(NamedTuple):
     """Central-difference estimate of d(exit_x)/d(x0) at finite eps.
 
     ``uncertainty`` is the change of the estimate when the step is
@@ -201,6 +200,7 @@ def derivative_probe(m: Model, x0: float, z0: float, eps: float,
             f"probe step must satisfy 0 < 2h < |x0|, got h={h}"
         )
     stop = Section(var="z", value=z0, direction=+1, require_x_positive=True)
+    controls = replace(controls, sample_dt=1e9)   # only the exit is read
 
     def exit_at(x_start: float) -> float:
         traj = integrate_zeta(m, InitialData(x0=x_start, z0=z0, eps=eps),
@@ -213,8 +213,7 @@ def derivative_probe(m: Model, x0: float, z0: float, eps: float,
                        eps=eps)
 
 
-@dataclass(frozen=True)
-class GapProfile:
+class GapProfile(NamedTuple):
     """Gap |zeta_traj - zeta_minus| between a finite-eps trajectory and
     the attracting slow profile, sampled over x in [x0+delta, x1-delta]."""
 

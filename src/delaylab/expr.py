@@ -27,7 +27,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import DelayLabError
 
@@ -61,37 +61,35 @@ class DomainFaultError(ExpressionError):
         super().__init__(f"{message} in '{snippet}'", source, span[0])
 
 
-@dataclass(frozen=True)
-class _Node:
+class Const(NamedTuple):
     span: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class Const(_Node):
     value: float
 
 
-@dataclass(frozen=True)
-class Var(_Node):
+class Var(NamedTuple):
+    span: tuple[int, int]
     name: str
 
 
-@dataclass(frozen=True)
-class Neg(_Node):
+class Neg(NamedTuple):
+    span: tuple[int, int]
     arg: _Node
 
 
-@dataclass(frozen=True)
-class BinOp(_Node):
+class BinOp(NamedTuple):
+    span: tuple[int, int]
     op: str
     left: _Node
     right: _Node
 
 
-@dataclass(frozen=True)
-class Call(_Node):
+class Call(NamedTuple):
+    span: tuple[int, int]
     func: str
     arg: _Node
+
+
+_Node = Const | Var | Neg | BinOp | Call
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .entryexit import EntryExitSolution, slow_curves
 from .errors import PreconditionError
@@ -32,8 +32,7 @@ from .model import Model
 from .numerics import integrate
 
 
-@dataclass(frozen=True)
-class SingularConfiguration:
+class SingularConfiguration(NamedTuple):
     """The concatenated candidate cycle at eps = 0.
 
     Each piece is an (n, 4) array with columns x, z, zeta, tau.
@@ -92,8 +91,7 @@ def build_configuration(m: Model, sol: EntryExitSolution, z0: float,
                                  gamma1=gamma1, gamma0=gamma0, gamma2=gamma2)
 
 
-@dataclass(frozen=True)
-class ManifoldPatch:
+class ManifoldPatch(NamedTuple):
     """A ruled surface in (x, zeta, tau).
 
     ``points[i, j]`` is the (x, zeta, tau) sample at base parameter

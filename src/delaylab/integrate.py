@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (IntegrationError, MaxStepsExceededError, PreconditionError,
                      StepSizeUnderflowError, ZUnderflowError)
@@ -107,8 +107,7 @@ class Controls:
                 f"event_time_tol must be > 0, got {self.event_time_tol}")
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     index: int        # sample index of the located crossing
     t: float
     tau: float
@@ -117,8 +116,7 @@ class Event:
     section: Section
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Sampled trajectory in one chart.
 
     ``state`` holds z in the 'xz' chart and zeta in the 'zeta' chart.

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import expr as _expr
 from .errors import ModelLookupError, PreconditionError
@@ -78,16 +78,14 @@ class InitialData:
             raise PreconditionError(f"eps must be nonnegative, got {self.eps}")
 
 
-@dataclass(frozen=True)
-class HypothesisCheck:
+class HypothesisCheck(NamedTuple):
     name: str
     passed: bool
     # first violating point as (coordinate, evaluated value), or None
     first_violation: tuple[float, float] | None = None
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
+class HypothesisReport(NamedTuple):
     model: str
     grid_n: int
     checks: tuple[HypothesisCheck, ...]

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import PreconditionError, QuadratureError, RootFindError
 
@@ -51,8 +50,7 @@ def linspace(lo: float, hi: float, n: int) -> list[float]:
     return [i * step + lo for i in range(n - 1)] + [hi]
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: float
     abs_error_estimate: float
     evaluations: int

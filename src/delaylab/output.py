@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._version import VERSION
-from .entryexit import EntryExitSolution, SlowCurves
-from .experiment import SweepReport
-from .geometry import ManifoldPatch, SingularConfiguration
-from .integrate import EXP_FLOOR, Trajectory
-from .model import Model
+
+if TYPE_CHECKING:
+    from .entryexit import EntryExitSolution, SlowCurves
+    from .experiment import SweepReport
+    from .geometry import ManifoldPatch, SingularConfiguration
+    from .integrate import Trajectory
+    from .model import Model
 
 
 def fmt(v: float) -> str:
@@ -104,6 +106,8 @@ def write_trajectory_csv(path: str, traj: Trajectory,
     threshold); in the raw chart zeta is eps * log(1/z), identically
     0 in the frozen-drift limit eps = 0.
     """
+    from .integrate import EXP_FLOOR
+
     names = ("t", "tau", "x", "z", "zeta", "event")
     zeta = traj.zeta()
     flags = traj.event_flags

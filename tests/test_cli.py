@@ -354,3 +354,41 @@ print("OK")
 """
     assert _run_python(code, tmp_path).splitlines()[-1] == "OK"
     assert (tmp_path / "manifold_right.csv").exists()
+
+
+def test_startup_loads_only_what_the_command_uses(tmp_path):
+    # `import delaylab` loads no numerical module, the parser needs none,
+    # and each command imports only the modules it runs
+    code = """
+import sys
+
+def loaded():
+    return {m for m in sys.modules if m.startswith("delaylab")}
+
+import delaylab
+assert loaded() == {"delaylab", "delaylab._version"}, loaded()
+from delaylab.cli import build_parser, main
+build_parser()
+numeric = {"delaylab." + m for m in
+           ("integrate", "entryexit", "experiment", "geometry")}
+assert not loaded() & numeric, loaded()
+assert main(["simulate", "--model", "linear", "--x0", "-1", "--z0", "0.1",
+             "--eps", "0.1", "--out-dir", "."]) == 0
+assert "delaylab.integrate" in loaded()
+assert not loaded() & (numeric - {"delaylab.integrate"}), loaded()
+print("OK")
+"""
+    assert _run_python(code, tmp_path).splitlines()[-1] == "OK"
+    code = """
+import delaylab
+names = dir(delaylab)
+for name in delaylab.__all__:
+    assert getattr(delaylab, name) is not None, name
+    assert name in names, name
+assert delaylab.quad is delaylab.numerics.integrate
+try:
+    delaylab.no_such_name
+except AttributeError:
+    print("OK")
+"""
+    assert _run_python(code, tmp_path).splitlines()[-1] == "OK"

@@ -159,3 +159,17 @@ def test_manifold_closeness_delta_guard():
         manifold_closeness(m, -1.0, 0.2, 0.05, delta=0.0)
     with pytest.raises(PreconditionError):
         manifold_closeness(m, -1.0, 0.2, 0.05, delta=0.1, n=1)
+
+
+def test_result_records_are_immutable(linear_sweep):
+    from delaylab.integrate import Section, integrate_zeta
+    from delaylab.model import InitialData
+
+    m, report = linear_sweep
+    traj = integrate_zeta(m, InitialData(x0=-1.0, z0=0.1, eps=0.1),
+                          Section("z", 0.1, +1, require_x_positive=True))
+    for record, field in ((traj, "eps"), (traj.events[-1], "x"),
+                          (report.records[0], "exit_x"),
+                          (report.reference, "x1")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0.0)

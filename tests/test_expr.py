@@ -148,3 +148,18 @@ def test_model_faults_carry_the_evaluate_location():
         assert via_model.value.offset == direct.value.offset, src
         assert via_model.value.span == direct.value.span, src
         assert str(via_model.value) == str(direct.value), src
+
+
+def test_domain_fault_spans():
+    # (start, end) offsets of the faulting subexpression in the source
+    cases = (
+        ("1 + 1/x", 0.0, (4, 7)), ("2 + log(x - 2)", 0.0, (4, 14)),
+        ("sqrt(x) + 1", -1.0, (0, 7)), ("1 + x^-1", 0.0, (4, 8)),
+        ("(x)^0.5", -2.0, (1, 7)), ("exp(x)", 1000.0, (0, 6)),
+        ("x*x + 1", 1e200, (0, 3)), ("-(x + x)", 1e308, (2, 7)),
+        ("1 - 10^x", 400.0, (4, 8)),
+    )
+    for src, x, span in cases:
+        with pytest.raises(DomainFaultError) as info:
+            parse(src)(x, 0.0, 0.0)
+        assert info.value.span == span, src

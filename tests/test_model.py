@@ -132,3 +132,18 @@ def test_check_hypotheses_grid_guard():
 def test_model_from_expressions_propagates_parse_errors():
     with pytest.raises(ExpressionError):
         model_from_expressions("bad", "1 +", "x", (-1.0, 1.0))
+
+
+def test_dataclasses_replace_swaps_the_evaluators():
+    # external instrumentation wraps f and g with dataclasses.replace
+    import dataclasses
+
+    for m in (get_model("quadratic"),
+              model_from_expressions("custom", "1 + 0.1*z", "x + 0.5*z",
+                                     (-1.5, 1.5), z_cap=0.5)):
+        twice = dataclasses.replace(m, f=lambda x, z, eps: 2.0,
+                                    g=lambda x, z, eps: 3.0 * x)
+        assert twice.f(0.2, 0.0, 0.0) == 2.0
+        assert twice.g(0.2, 0.0, 0.0) == pytest.approx(0.6)
+        assert (twice.name, twice.window, twice.z_cap, twice.g_text) == \
+            (m.name, m.window, m.z_cap, m.g_text)
