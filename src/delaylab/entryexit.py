@@ -47,8 +47,7 @@ def _inv_f(m: Model):
 def zeta_minus_at(m: Model, x0: float, x: float,
                   rel_tol: float = 1e-12, abs_tol: float = 1e-14) -> float:
     """Accumulated inflow -g/f from x0 to x."""
-    return numerics.integrate(lambda r: -m.g(r, 0.0, 0.0) / m.f(r, 0.0, 0.0),
-                              x0, x, rel_tol, abs_tol).value
+    return -numerics.integrate(_slow_ratio(m), x0, x, rel_tol, abs_tol).value
 
 
 def tau_minus_at(m: Model, x0: float, x: float,
@@ -84,18 +83,15 @@ def solve_exit(m: Model, x0: float, rel_tol: float = 1e-12,
             f"x0 must lie in ({x_min}, 0), got {x0}"
         )
 
-    evals = 0
-    q0 = numerics.integrate(lambda r: -m.g(r, 0.0, 0.0) / m.f(r, 0.0, 0.0),
-                            x0, 0.0, rel_tol, abs_tol)
-    evals += q0.evaluations
-    zeta0 = q0.value
+    ratio = _slow_ratio(m)
+    q0 = numerics.integrate(ratio, x0, 0.0, rel_tol, abs_tol)
+    evals = q0.evaluations
+    zeta0 = -q0.value
     if not (zeta0 > 0.0):
         raise DelayLabError(
             f"accumulated inflow is not positive (zeta0={zeta0:.6g}); "
             "the sign hypotheses fail on this window"
         )
-
-    ratio = _slow_ratio(m)
 
     def F(s: float) -> float:
         nonlocal evals
@@ -133,9 +129,7 @@ def solve_exit(m: Model, x0: float, rel_tol: float = 1e-12,
             f"exit point x1={x1:.17g} does not lie past the turning point "
             f"(g(x1,0,0)={g1:.6g})"
         )
-    slope0 = m.g(x0, 0.0, 0.0) / m.f(x0, 0.0, 0.0)
-    slope1 = g1 / m.f(x1, 0.0, 0.0)
-    dx1_dx0 = slope0 / slope1
+    dx1_dx0 = ratio(x0) / (g1 / m.f(x1, 0.0, 0.0))
 
     return EntryExitSolution(x0=float(x0), x1=float(x1), zeta0=float(zeta0),
                              tau1=float(tau1), dx1_dx0=float(dx1_dx0),
@@ -145,11 +139,11 @@ def solve_exit(m: Model, x0: float, rel_tol: float = 1e-12,
 class SlowCurves(NamedTuple):
     """Coordinate curves of the limiting slow flow sampled on a grid."""
 
-    x: np.ndarray
-    zeta_minus: np.ndarray
-    tau_minus: np.ndarray
-    zeta_plus: np.ndarray
-    tau_plus: np.ndarray
+    x: list[float]
+    zeta_minus: list[float]
+    tau_minus: list[float]
+    zeta_plus: list[float]
+    tau_plus: list[float]
     x0: float
     x1_hat: float
     tau1: float
@@ -164,8 +158,6 @@ def slow_curves(m: Model, x0: float, x1_hat: float, n: int = 512,
     ``tau1`` is omitted the candidate exit is treated as the true one
     and the total slow travel time of the grid is used.
     """
-    import numpy as np
-
     if n < 2:
         raise PreconditionError(f"n must be at least 2, got {n}")
     x_min, x_max = m.window
@@ -173,25 +165,13 @@ def slow_curves(m: Model, x0: float, x1_hat: float, n: int = 512,
         raise PreconditionError(
             f"need x_min <= x0 < 0 < x1_hat <= x_max, got x0={x0}, x1_hat={x1_hat}"
         )
-    xs = np.linspace(x0, x1_hat, n)
-    ratio = _slow_ratio(m)
-    inv_f = _inv_f(m)
-
-    G = np.empty(n)
-    T = np.empty(n)
-    G[0] = 0.0
-    T[0] = 0.0
-    for i in range(1, n):
-        a, b = float(xs[i - 1]), float(xs[i])
-        G[i] = G[i - 1] + numerics.integrate(ratio, a, b, rel_tol, abs_tol).value
-        T[i] = T[i - 1] + numerics.integrate(inv_f, a, b, rel_tol, abs_tol).value
-
+    xs = numerics.linspace(x0, x1_hat, n)
+    G = numerics.cumulative(_slow_ratio(m), xs, rel_tol, abs_tol)
+    T = numerics.cumulative(_inv_f(m), xs, rel_tol, abs_tol)
+    g_end, t_end = G[-1], T[-1]
     if tau1 is None:
-        tau1 = float(T[-1])
-    zeta_minus = -G
-    tau_minus = T.copy()
-    zeta_plus = G[-1] - G
-    tau_plus = tau1 - (T[-1] - T)
-    return SlowCurves(x=xs, zeta_minus=zeta_minus, tau_minus=tau_minus,
-                      zeta_plus=zeta_plus, tau_plus=tau_plus,
+        tau1 = t_end
+    return SlowCurves(x=xs, zeta_minus=[-g for g in G], tau_minus=T,
+                      zeta_plus=[g_end - g for g in G],
+                      tau_plus=[tau1 - (t_end - t) for t in T],
                       x0=float(x0), x1_hat=float(x1_hat), tau1=float(tau1))

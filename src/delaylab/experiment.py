@@ -13,17 +13,18 @@ above the attracting slow profile in the logarithmic chart.
 
 from __future__ import annotations
 
+import bisect
 import math
 import time
 from dataclasses import replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .entryexit import EntryExitSolution, solve_exit
+from .entryexit import EntryExitSolution, _slow_ratio, solve_exit
 from .errors import DelayLabError, PreconditionError
 from .geometry import cycle_distance
 from .integrate import Controls, Section, integrate_zeta, min_z_exponent
 from .model import InitialData, Model
-from .numerics import integrate
+from .numerics import cumulative, linspace
 
 #: quantities measured per eps and their eps = 0 reference attribute
 _QUANTITIES = (
@@ -105,13 +106,6 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
             f"probe step must lie in (0, |x0|), got {h_probe}"
         )
 
-    probe_controls = replace(controls, sample_dt=1e9)   # only the exit is read
-
-    def exit_x_from(x_start: float, eps: float) -> float:
-        traj = integrate_zeta(m, InitialData(x0=x_start, z0=z0, eps=eps),
-                              stop, probe_controls)
-        return traj.events[-1].x
-
     def one(eps: float) -> SweepRecord:
         t_begin = time.perf_counter()
         traj = integrate_zeta(m, InitialData(x0=x0, z0=z0, eps=eps),
@@ -119,8 +113,9 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
         event = traj.events[-1]
         minz = min_z_exponent(traj, eps)
         hd = cycle_distance(traj.xz_points(), sol.x0, sol.x1, z0)
-        probe = (exit_x_from(x0 + h_probe, eps)
-                 - exit_x_from(x0 - h_probe, eps)) / (2.0 * h_probe)
+        probe = (_exit_x(m, x0 + h_probe, z0, eps, controls)
+                 - _exit_x(m, x0 - h_probe, z0, eps, controls)
+                 ) / (2.0 * h_probe)
         return SweepRecord(eps=eps, minz_exponent=minz, exit_x=event.x,
                            tau_exit=event.tau, hausdorff=hd,
                            d_exit_dx0=probe,
@@ -158,6 +153,18 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
                        eps=tuple(eps_list), records=tuple(records),
                        failures=tuple(failures), reference=sol, rates=rates,
                        richardson_minz=richardson)
+
+
+def _exit_x(m: Model, x_start: float, z0: float, eps: float,
+            controls: Controls) -> float:
+    """Exit x of the cycle from (x_start, z0): the first upward crossing
+    of z = z0 right of the turning point.  Only the exit is read, so the
+    run keeps no dense samples."""
+    traj = integrate_zeta(
+        m, InitialData(x0=x_start, z0=z0, eps=eps),
+        Section(var="z", value=z0, direction=+1, require_x_positive=True),
+        replace(controls, sample_dt=1e9))
+    return traj.events[-1].x
 
 
 def _slope(u: list[float], v: list[float]) -> float:
@@ -199,16 +206,12 @@ def derivative_probe(m: Model, x0: float, z0: float, eps: float,
         raise PreconditionError(
             f"probe step must satisfy 0 < 2h < |x0|, got h={h}"
         )
-    stop = Section(var="z", value=z0, direction=+1, require_x_positive=True)
-    controls = replace(controls, sample_dt=1e9)   # only the exit is read
 
-    def exit_at(x_start: float) -> float:
-        traj = integrate_zeta(m, InitialData(x0=x_start, z0=z0, eps=eps),
-                              stop, controls)
-        return traj.events[-1].x
+    def central(step: float) -> float:
+        return (_exit_x(m, x0 + step, z0, eps, controls)
+                - _exit_x(m, x0 - step, z0, eps, controls)) / (2.0 * step)
 
-    p_h = (exit_at(x0 + h) - exit_at(x0 - h)) / (2.0 * h)
-    p_2h = (exit_at(x0 + 2.0 * h) - exit_at(x0 - 2.0 * h)) / (4.0 * h)
+    p_h, p_2h = central(h), central(2.0 * h)
     return ProbeResult(value=p_h, uncertainty=abs(p_h - p_2h), step=h,
                        eps=eps)
 
@@ -219,9 +222,26 @@ class GapProfile(NamedTuple):
 
     eps: float
     delta: float
-    x: np.ndarray
-    gap: np.ndarray
+    x: list[float]
+    gap: list[float]
     sup: float
+
+
+def _interp(x: float, xp: Sequence[float], fp: Sequence[float]) -> float:
+    """Piecewise-linear interpolant of (xp, fp) at x for increasing xp.
+
+    fp[j] at a node, slope * (x - xp[j]) + fp[j] inside a panel, and
+    fp's end values outside [xp[0], xp[-1]].
+    """
+    if x >= xp[-1]:
+        return fp[-1]
+    j = bisect.bisect_right(xp, x) - 1
+    if j < 0:
+        return fp[0]
+    if xp[j] == x:
+        return fp[j]
+    slope = (fp[j + 1] - fp[j]) / (xp[j + 1] - xp[j])
+    return slope * (x - xp[j]) + fp[j]
 
 
 def manifold_closeness(m: Model, x0: float, z0: float, eps: float,
@@ -234,8 +254,6 @@ def manifold_closeness(m: Model, x0: float, z0: float, eps: float,
     a quarter of the room the patch margin leaves at either end.  The
     gap is of size eps * log(1/z0) plus an O(eps) drift.
     """
-    import numpy as np
-
     if n < 2:
         raise PreconditionError(f"need n >= 2 sample points, got {n}")
     if controls is None:
@@ -253,18 +271,9 @@ def manifold_closeness(m: Model, x0: float, z0: float, eps: float,
     traj = integrate_zeta(m, InitialData(x0=x0, z0=z0, eps=eps), stop,
                           controls)
 
-    xs = np.linspace(x0 + delta, x_stop, n)
-    zeta_traj = np.interp(xs, traj.x, traj.state)
-
-    def ratio(x: float) -> float:
-        return m.g(x, 0.0, 0.0) / m.f(x, 0.0, 0.0)
-
+    xs = linspace(x0 + delta, x_stop, n)
     # zeta_minus anchored at x0, accumulated panel by panel
-    profile = np.empty(n)
-    profile[0] = -integrate(ratio, x0, float(xs[0])).value
-    for i in range(1, n):
-        profile[i] = profile[i - 1] - integrate(ratio, float(xs[i - 1]),
-                                                float(xs[i])).value
-    gap = np.abs(zeta_traj - profile)
-    return GapProfile(eps=eps, delta=delta, x=xs, gap=gap,
-                      sup=float(np.max(gap)))
+    inflow = cumulative(_slow_ratio(m), [x0, *xs])
+    gap = [abs(_interp(x, traj.x, traj.state) + g)
+           for x, g in zip(xs, inflow[1:])]
+    return GapProfile(eps=eps, delta=delta, x=xs, gap=gap, sup=max(gap))

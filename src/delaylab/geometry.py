@@ -26,27 +26,30 @@ import bisect
 import math
 from typing import NamedTuple
 
-from .entryexit import EntryExitSolution, slow_curves
+from .entryexit import EntryExitSolution, _inv_f, _slow_ratio, slow_curves
 from .errors import PreconditionError
 from .model import Model
-from .numerics import integrate
+from .numerics import cumulative, linspace
+
+#: a sampled curve: one tuple of coordinates per sample
+Rows = tuple[tuple[float, ...], ...]
 
 
 class SingularConfiguration(NamedTuple):
     """The concatenated candidate cycle at eps = 0.
 
-    Each piece is an (n, 4) array with columns x, z, zeta, tau.
+    Each piece holds n (x, z, zeta, tau) rows.
     """
 
     x0: float
     x1: float
     z0: float
     tau1: float
-    gamma1: np.ndarray
-    gamma0: np.ndarray
-    gamma2: np.ndarray
+    gamma1: Rows
+    gamma0: Rows
+    gamma2: Rows
 
-    def pieces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def pieces(self) -> tuple[Rows, Rows, Rows]:
         return (self.gamma1, self.gamma0, self.gamma2)
 
 
@@ -61,8 +64,6 @@ def build_configuration(m: Model, sol: EntryExitSolution, z0: float,
     tau = 0 and the exit fiber at tau = tau1; both sit at zeta = 0
     because the delay exponent vanishes for any fixed positive z.
     """
-    import numpy as np
-
     if z0 <= 0.0:
         raise PreconditionError(f"z0 must be positive, got {z0}")
     if z0 > m.z_cap:
@@ -71,22 +72,11 @@ def build_configuration(m: Model, sol: EntryExitSolution, z0: float,
         raise PreconditionError(f"need at least 2 samples per piece, got {n}")
 
     x0, x1, tau1 = sol.x0, sol.x1, sol.tau1
-
-    z_down = np.linspace(z0, 0.0, n)
-    gamma1 = np.column_stack([
-        np.full(n, x0), z_down, np.zeros(n), np.zeros(n),
-    ])
-
     curves = slow_curves(m, x0, x1, n=n, tau1=tau1)
-    gamma0 = np.column_stack([
-        curves.x, np.zeros(n), curves.zeta_minus, curves.tau_minus,
-    ])
-
-    z_up = np.linspace(0.0, z0, n)
-    gamma2 = np.column_stack([
-        np.full(n, x1), z_up, np.zeros(n), np.full(n, tau1),
-    ])
-
+    gamma1 = tuple((x0, z, 0.0, 0.0) for z in linspace(z0, 0.0, n))
+    gamma0 = tuple((x, 0.0, zeta, tau) for x, zeta, tau
+                   in zip(curves.x, curves.zeta_minus, curves.tau_minus))
+    gamma2 = tuple((x1, z, 0.0, tau1) for z in linspace(0.0, z0, n))
     return SingularConfiguration(x0=x0, x1=x1, z0=z0, tau1=tau1,
                                  gamma1=gamma1, gamma0=gamma0, gamma2=gamma2)
 
@@ -94,57 +84,27 @@ def build_configuration(m: Model, sol: EntryExitSolution, z0: float,
 class ManifoldPatch(NamedTuple):
     """A ruled surface in (x, zeta, tau).
 
-    ``points[i, j]`` is the (x, zeta, tau) sample at base parameter
+    ``points[i][j]`` is the (x, zeta, tau) sample at base parameter
     ``param1[i]`` (position along the slow flow) and ruling parameter
     ``param2[j]``; ``tangent1`` holds the flow direction (f, -g, 1)
-    and ``tangent2`` the ruling direction at each sample.
+    and ``tangent2`` the ruling direction at each sample, indexed the
+    same way.
     """
 
     name: str
-    param1: np.ndarray
-    param2: np.ndarray
-    points: np.ndarray    # (n1, n2, 3)
-    tangent1: np.ndarray  # (n1, n2, 3)
-    tangent2: np.ndarray  # (n1, n2, 3)
+    param1: tuple[float, ...]
+    param2: tuple[float, ...]
+    points: tuple[Rows, ...]
+    tangent1: tuple[Rows, ...]
+    tangent2: tuple[Rows, ...]
 
-    def center_ruling(self) -> np.ndarray:
-        """The (n1, 3) curve at the middle ruling parameter."""
-        return self.points[:, self.points.shape[1] // 2, :]
+    def center_ruling(self) -> list[tuple[float, ...]]:
+        """The n1 (x, zeta, tau) samples at the middle ruling parameter."""
+        return self.slice_at(len(self.param2) // 2)
 
-    def slice_at(self, j: int) -> np.ndarray:
-        """The (n1, 3) curve at ruling index j."""
-        return self.points[:, j, :]
-
-
-def _cumulative_on(m: Model, grid: np.ndarray):
-    """Cumulative integrals of g/f and 1/f over consecutive grid panels.
-
-    Returns (G, T, lookup) where G[i] = integral of g/f from grid[0]
-    to grid[i] (and T likewise for 1/f) and lookup(x) fetches the
-    value at a grid point by exact match.
-    """
-    import numpy as np
-
-    def ratio(x: float) -> float:
-        return m.g(x, 0.0, 0.0) / m.f(x, 0.0, 0.0)
-
-    def inv_f(x: float) -> float:
-        return 1.0 / m.f(x, 0.0, 0.0)
-
-    big_g = np.zeros(len(grid))
-    big_t = np.zeros(len(grid))
-    for i in range(1, len(grid)):
-        a, b = float(grid[i - 1]), float(grid[i])
-        big_g[i] = big_g[i - 1] + integrate(ratio, a, b).value
-        big_t[i] = big_t[i - 1] + integrate(inv_f, a, b).value
-
-    def lookup(arr: np.ndarray, x: float) -> float:
-        i = int(np.searchsorted(grid, x))
-        if i >= len(grid) or grid[i] != x:
-            raise PreconditionError(f"x={x!r} is not a grid point")
-        return float(arr[i])
-
-    return big_g, big_t, lookup
+    def slice_at(self, j: int) -> list[tuple[float, ...]]:
+        """The n1 (x, zeta, tau) samples at ruling index j."""
+        return [row[j] for row in self.points]
 
 
 def build_manifolds(m: Model, x0: float, x1: float, delta: float,
@@ -166,8 +126,6 @@ def build_manifolds(m: Model, x0: float, x1: float, delta: float,
     ``delta`` must stay below half the smaller of |x0| and x1, and
     x1 + delta must stay inside the window.
     """
-    import numpy as np
-
     x_min, x_max = m.window
     if not (x_min < x0 < 0.0 < x1 < x_max):
         raise PreconditionError(
@@ -191,57 +149,39 @@ def build_manifolds(m: Model, x0: float, x1: float, delta: float,
     if n2 < 3 or n2 % 2 == 0:
         raise PreconditionError(f"n2 must be odd and >= 3, got {n2}")
 
-    xs = np.linspace(x0, x1, n)
-    x_exit = np.linspace(x1 - delta, x1 + delta, n2)
+    xs = linspace(x0, x1, n)
+    x_exit = linspace(x1 - delta, x1 + delta, n2)
     x_exit[n2 // 2] = x1
 
-    union = np.unique(np.concatenate([xs, x_exit]))
-    big_g, big_t, look = _cumulative_on(m, union)
-    g_xs = np.array([look(big_g, float(x)) for x in xs])
-    t_xs = np.array([look(big_t, float(x)) for x in xs])
-    g0, t0 = look(big_g, x0), look(big_t, x0)
-    tau1 = look(big_t, x1) - t0
-
-    flow = np.empty((n, 3))
-    for i, xv in enumerate(xs):
-        flow[i] = (m.f(float(xv), 0.0, 0.0), -m.g(float(xv), 0.0, 0.0), 1.0)
+    # cumulative g/f and 1/f over the merged grid; x0 is its first
+    # point, so both vanish there
+    union = sorted(set(xs + x_exit))
+    big_g = cumulative(_slow_ratio(m), union)
+    big_t = cumulative(_inv_f(m), union)
+    index = {x: i for i, x in enumerate(union)}
+    g_xs = [big_g[index[x]] for x in xs]
+    t_xs = [big_t[index[x]] for x in xs]
+    tau1 = big_t[index[x1]]
+    flow = tuple(((m.f(x, 0.0, 0.0), -m.g(x, 0.0, 0.0), 1.0),) * n2
+                 for x in xs)
 
     # --- attracting patch: time-shifted copies of the entry profile --
-    shifts = np.linspace(-delta, delta, n2)
+    shifts = linspace(-delta, delta, n2)
     shifts[n2 // 2] = 0.0
-    zeta_l = -(g_xs - g0)
-    tau_l = t_xs - t0
-    pts_l = np.empty((n, n2, 3))
-    tan1_l = np.empty_like(pts_l)
-    tan2_l = np.empty_like(pts_l)
-    for j, s in enumerate(shifts):
-        pts_l[:, j, 0] = xs
-        pts_l[:, j, 1] = zeta_l
-        pts_l[:, j, 2] = tau_l + s
-        tan1_l[:, j] = flow
-        tan2_l[:, j] = (0.0, 0.0, 1.0)
-
-    left = ManifoldPatch(name="attracting", param1=xs.copy(),
-                         param2=shifts, points=pts_l,
-                         tangent1=tan1_l, tangent2=tan2_l)
+    left = ManifoldPatch(
+        name="attracting", param1=tuple(xs), param2=tuple(shifts),
+        points=tuple(tuple((x, -g, t + s) for s in shifts)
+                     for x, g, t in zip(xs, g_xs, t_xs)),
+        tangent1=flow, tangent2=(((0.0, 0.0, 1.0),) * n2,) * n)
 
     # --- repelling patch: backward profiles from shifted exit points --
-    g1 = m.g(x1, 0.0, 0.0)
-    pts_r = np.empty((n, n2, 3))
-    tan1_r = np.empty_like(pts_r)
-    tan2_r = np.empty_like(pts_r)
-    for j, xe in enumerate(x_exit):
-        ge = look(big_g, float(xe))
-        te = look(big_t, float(xe))
-        pts_r[:, j, 0] = xs
-        pts_r[:, j, 1] = ge - g_xs
-        pts_r[:, j, 2] = tau1 - (te - t_xs)
-        tan1_r[:, j] = flow
-        tan2_r[:, j] = (0.0, g1, -1.0)
-
-    right = ManifoldPatch(name="repelling", param1=xs.copy(),
-                          param2=x_exit.copy(), points=pts_r,
-                          tangent1=tan1_r, tangent2=tan2_r)
+    ends = [(big_g[index[xe]], big_t[index[xe]]) for xe in x_exit]
+    ruling = (0.0, m.g(x1, 0.0, 0.0), -1.0)
+    right = ManifoldPatch(
+        name="repelling", param1=tuple(xs), param2=tuple(x_exit),
+        points=tuple(tuple((x, ge - g, tau1 - (te - t)) for ge, te in ends)
+                     for x, g, t in zip(xs, g_xs, t_xs)),
+        tangent1=flow, tangent2=((ruling,) * n2,) * n)
     return left, right
 
 
@@ -254,43 +194,53 @@ def transversality_det(m: Model, x_hat: float, x1: float) -> float:
     form -f(x_hat) * g(x1): negative wherever f > 0 and g(x1) > 0, so
     a strictly negative value certifies the crossing.
     """
-    import numpy as np
-
-    f_hat = m.f(x_hat, 0.0, 0.0)
-    g_hat = m.g(x_hat, 0.0, 0.0)
-    g1 = m.g(x1, 0.0, 0.0)
-    rows = np.array([
-        (f_hat, -g_hat, 1.0),
-        (0.0, 0.0, 1.0),
-        (0.0, g1, -1.0),
-    ])
-    return float(np.linalg.det(rows))
+    return -m.f(x_hat, 0.0, 0.0) * m.g(x1, 0.0, 0.0)
 
 
-def hausdorff_distance(a: np.ndarray, b: np.ndarray) -> float:
+def _pairs(points) -> list[tuple[float, float]]:
+    """``points`` as a list of float (x, z) pairs; it must be nonempty."""
+    try:
+        pairs = [(float(x), float(z)) for x, z in points]
+    except (TypeError, ValueError):
+        pairs = []
+    if not pairs:
+        raise PreconditionError(
+            "points must be a nonempty sequence of (x, z) pairs")
+    return pairs
+
+
+def hausdorff_distance(a, b) -> float:
     """Symmetric Hausdorff distance between two planar point sets.
 
-    Brute force in chunks; both inputs are (n, 2) arrays.
+    Both inputs are nonempty sequences of (x, z) pairs, such as (n, 2)
+    arrays.  Each nearest-point search walks outward from the query's
+    place in the other set sorted by x and stops once dx*dx alone
+    reaches the best squared distance, so the result is the brute-force
+    value exactly.
     """
-    import numpy as np
+    a, b = _pairs(a), _pairs(b)
 
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[1] != 2 or b.ndim != 2 or b.shape[1] != 2:
-        raise PreconditionError("point sets must be (n, 2) arrays")
-    if len(a) == 0 or len(b) == 0:
-        raise PreconditionError("point sets must be nonempty")
-
-    def directed(p: np.ndarray, q: np.ndarray) -> float:
+    def directed(p: list[tuple[float, float]],
+                 q: list[tuple[float, float]]) -> float:
+        q = sorted(q)
+        qx = [x for x, _ in q]
         worst = 0.0
-        for i in range(0, len(p), 256):
-            pi = p[i:i + 256]
-            best = np.full(len(pi), math.inf)
-            for j in range(0, len(q), 2048):
-                qj = q[j:j + 2048]
-                d2 = ((pi[:, None, :] - qj[None, :, :]) ** 2).sum(axis=2)
-                best = np.minimum(best, d2.min(axis=1))
-            worst = max(worst, float(best.max()))
+        for px, pz in p:
+            best = math.inf
+            k = bisect.bisect_left(qx, px)
+            for side in (range(k, len(q)), range(k - 1, -1, -1)):
+                for i in side:
+                    x, z = q[i]
+                    dx = px - x
+                    d2 = dx * dx
+                    if d2 >= best:
+                        break
+                    dz = pz - z
+                    d2 += dz * dz
+                    if d2 < best:
+                        best = d2
+            if best > worst:
+                worst = best
         return math.sqrt(worst)
 
     return max(directed(a, b), directed(b, a))
@@ -347,13 +297,7 @@ def cycle_distance(points, x0: float, x1: float, z0: float) -> float:
     cycle is the closed-form distance to the nearest segment; cycle to
     points is a lower-envelope sweep along each segment.
     """
-    try:
-        pairs = [(float(x), float(z)) for x, z in points]
-    except (TypeError, ValueError):
-        pairs = []
-    if not pairs:
-        raise PreconditionError(
-            "points must be a nonempty sequence of (x, z) pairs")
+    pairs = _pairs(points)
     if not (z0 > 0.0):
         raise PreconditionError(f"z0 must be positive, got {z0}")
     if not (x0 < x1):

@@ -7,15 +7,17 @@ interval with the largest error is bisected until the accumulated
 estimate meets the requested tolerance.  ``find_root`` is the classic
 Brent bracketing scheme: inverse-quadratic/secant steps with a
 bisection fallback, so convergence is superlinear but termination is
-guaranteed.  ``linspace`` is the evenly spaced grid the sign checks
-and step-size heuristics sample on.
+guaranteed.  ``cumulative`` chains ``integrate`` panel by panel into
+the running integrals the slow-curve and geometry samplers need.
+``linspace`` is the evenly spaced grid they and the sign checks sample
+on.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .errors import PreconditionError, QuadratureError, RootFindError
 
@@ -149,6 +151,21 @@ def integrate(h: Callable[[float], float], a: float, b: float,
     total_value = math.fsum(item[4] for item in heap)
     estimate = max(total_err, 25.0 * _EPS * total_resabs)
     return QuadResult(total_value, estimate, evals)
+
+
+def cumulative(h: Callable[[float], float], xs: Sequence[float],
+               rel_tol: float = 1e-12, abs_tol: float = 1e-14) -> list[float]:
+    """Running integrals of ``h`` from xs[0] to each xs[i].
+
+    Entry 0 is 0.0 and entry i adds ``integrate(h, xs[i-1], xs[i])`` to
+    entry i - 1, so the samples are additive panel by panel.
+    """
+    total = 0.0
+    out = [total]
+    for a, b in zip(xs, xs[1:]):
+        total += integrate(h, a, b, rel_tol, abs_tol).value
+        out.append(total)
+    return out
 
 
 def find_root(f: Callable[[float], float], a: float, b: float,

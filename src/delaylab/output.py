@@ -192,11 +192,6 @@ def write_gamma0_csv(path: str, config: SingularConfiguration,
 def write_manifold_csv(path: str, patch: ManifoldPatch,
                        header_lines: Sequence[str] = ()) -> None:
     names = ("param1", "param2", "x", "zeta", "tau")
-
-    def rows():
-        for i, p1 in enumerate(patch.param1):
-            for j, p2 in enumerate(patch.param2):
-                pt = patch.points[i, j]
-                yield (p1, p2, pt[0], pt[1], pt[2])
-
-    write_csv(path, names, rows(), header_lines)
+    rows = ((p1, p2, *pt) for p1, row in zip(patch.param1, patch.points)
+            for p2, pt in zip(patch.param2, row))
+    write_csv(path, names, rows, header_lines)

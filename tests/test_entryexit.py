@@ -93,8 +93,10 @@ def test_slow_curves_match_when_exit_is_true():
         m = get_model(name)
         sol = solve_exit(m, x0)
         curves = slow_curves(m, x0, sol.x1, n=101, tau1=sol.tau1)
-        assert np.max(np.abs(curves.zeta_minus - curves.zeta_plus)) <= 1e-9
-        assert np.max(np.abs(curves.tau_minus - curves.tau_plus)) <= 1e-9
+        assert np.max(np.abs(np.asarray(curves.zeta_minus)
+                             - curves.zeta_plus)) <= 1e-9
+        assert np.max(np.abs(np.asarray(curves.tau_minus)
+                             - curves.tau_plus)) <= 1e-9
 
 
 def test_exit_derivative_matches_finite_differences():

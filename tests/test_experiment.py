@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from delaylab.errors import DelayLabError, PreconditionError
-from delaylab.experiment import (derivative_probe, manifold_closeness,
-                                 run_sweep)
+from delaylab.experiment import (_interp, derivative_probe,
+                                 manifold_closeness, run_sweep)
 from delaylab.model import Model, get_model
 
 EPS_SET = [0.2, 0.1, 0.05]
@@ -141,6 +141,16 @@ def test_manifold_closeness_linear():
     assert float(np.ptp(prof.gap)) <= 1e-5
     assert prof.x[0] == pytest.approx(-1.0 + 0.1)
     assert len(prof.x) == 257
+
+
+def test_interp_matches_numpy():
+    rng = np.random.default_rng(1618)
+    xp = np.cumsum(rng.uniform(0.01, 0.2, 60))
+    xp[20] = xp[19]   # a repeated abscissa
+    fp = rng.normal(size=60)
+    xs = np.concatenate([rng.uniform(xp[0] - 0.3, xp[-1] + 0.3, 500), xp])
+    got = [_interp(float(x), list(xp), list(fp)) for x in xs]
+    assert got == list(np.interp(xs, xp, fp))
 
 
 def test_manifold_closeness_shrinks_with_eps():

@@ -1,11 +1,16 @@
 """Candidate cycle, manifold patches, transversality, Hausdorff distance."""
 
+import math
+import typing
+
 import numpy as np
 import pytest
 
-from delaylab.entryexit import solve_exit
+from delaylab.entryexit import SlowCurves, solve_exit
 from delaylab.errors import PreconditionError
-from delaylab.geometry import (build_configuration, build_manifolds,
+from delaylab.experiment import GapProfile
+from delaylab.geometry import (ManifoldPatch, SingularConfiguration,
+                               build_configuration, build_manifolds,
                                cycle_distance, hausdorff_distance,
                                transversality_det)
 from delaylab.integrate import Section, integrate_zeta
@@ -16,7 +21,7 @@ def test_configuration_pieces_linear():
     m = get_model("linear")
     sol = solve_exit(m, -1.0)
     cfg = build_configuration(m, sol, 0.1, n=257)
-    g1, g0, g2 = cfg.pieces()
+    g1, g0, g2 = (np.asarray(piece) for piece in cfg.pieces())
     assert g1.shape == g0.shape == g2.shape == (257, 4)
 
     # entry fiber: frozen x and slow time, z descending to 0
@@ -59,10 +64,10 @@ def test_manifold_centers_contain_slow_segment():
         sol = solve_exit(m, x0)
         cfg = build_configuration(m, sol, 0.1, n=65)
         left, right = build_manifolds(m, x0, sol.x1, delta, n=65)
-        gamma0 = cfg.gamma0[:, [0, 2, 3]]  # (x, zeta, tau)
+        gamma0 = np.asarray(cfg.gamma0)[:, [0, 2, 3]]  # (x, zeta, tau)
         assert np.max(np.abs(left.center_ruling() - gamma0)) <= 1e-10
         assert np.max(np.abs(right.center_ruling() - gamma0)) <= 1e-10
-        assert np.max(np.abs(left.center_ruling()
+        assert np.max(np.abs(np.asarray(left.center_ruling())
                              - right.center_ruling())) <= 1e-10
 
 
@@ -70,8 +75,8 @@ def test_manifold_shapes_and_tangents_linear():
     m = get_model("linear")
     sol = solve_exit(m, -1.0)
     left, right = build_manifolds(m, -1.0, sol.x1, 0.25, n=33)
-    assert left.points.shape == (33, 33, 3)
-    assert right.points.shape == (33, 33, 3)
+    assert np.asarray(left.points).shape == (33, 33, 3)
+    assert np.asarray(right.points).shape == (33, 33, 3)
 
     for patch in (left, right):
         assert np.all(np.isfinite(patch.points))
@@ -81,23 +86,24 @@ def test_manifold_shapes_and_tangents_linear():
         assert np.all(np.linalg.norm(patch.tangent2, axis=2) > 0.0)
 
     # flow tangent (f, -g, 1) = (1, -x, 1) on the linear model
-    xs = left.param1
+    xs = np.asarray(left.param1)
     expected = np.stack([np.ones_like(xs), -xs, np.ones_like(xs)], axis=1)
-    for j in range(left.points.shape[1]):
-        assert np.max(np.abs(left.tangent1[:, j, :] - expected)) <= 1e-12
-    assert np.all(left.tangent2 == np.array([0.0, 0.0, 1.0]))
-    assert np.max(np.abs(right.tangent2
+    for j in range(np.asarray(left.points).shape[1]):
+        assert np.max(np.abs(np.asarray(left.tangent1)[:, j, :]
+                             - expected)) <= 1e-12
+    assert np.all(np.asarray(left.tangent2) == np.array([0.0, 0.0, 1.0]))
+    assert np.max(np.abs(np.asarray(right.tangent2)
                          - np.array([0.0, 1.0, -1.0]))) <= 1e-10
 
     # rulings of the attracting patch are slow-time translates
-    base = left.slice_at(left.points.shape[1] // 2)
+    base = np.asarray(left.slice_at(np.asarray(left.points).shape[1] // 2))
     for j, s in enumerate(left.param2):
-        sl = left.slice_at(j)
+        sl = np.asarray(left.slice_at(j))
         assert np.max(np.abs(sl[:, :2] - base[:, :2])) == 0.0
         assert np.max(np.abs(sl[:, 2] - (base[:, 2] + s))) <= 1e-15
 
     # repelling profiles through exit points right of x1 sit higher
-    end = right.points[-1, :, 1]  # zeta at x = x1 across rulings
+    end = np.asarray(right.points)[-1, :, 1]  # zeta at x = x1 across rulings
     assert np.all(np.diff(end) > 0.0)
 
 
@@ -157,6 +163,13 @@ def test_hausdorff_basic_values():
     assert abs(hausdorff_distance(sq, shifted) - 0.5) <= 1e-15
 
 
+def brute_hausdorff(a, b):
+    """All-pairs numpy oracle with the same dx*dx + dz*dz arithmetic."""
+    d2 = ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
+    return max(math.sqrt(d2.min(axis=1).max()),
+               math.sqrt(d2.min(axis=0).max()))
+
+
 def test_hausdorff_symmetry_and_triangle():
     rng = np.random.default_rng(5150)
     a = rng.normal(size=(40, 2))
@@ -167,6 +180,22 @@ def test_hausdorff_symmetry_and_triangle():
     hac = hausdorff_distance(a, c)
     hbc = hausdorff_distance(b, c)
     assert hac <= hab + hbc + 1e-12
+    # the pruned search equals brute force exactly, ties in x included
+    d = np.round(rng.normal(size=(50, 2)), 1)
+    for p, q in ((a, b), (a, c), (b, c), (a, d), (d, c)):
+        assert hausdorff_distance(p, q) == brute_hausdorff(p, q)
+    for _ in range(200):
+        scale = 10.0 ** rng.uniform(-3.0, 1.0)
+        p = scale * rng.normal(size=(int(rng.integers(1, 30)), 2))
+        q = scale * rng.normal(size=(int(rng.integers(1, 30)), 2))
+        assert hausdorff_distance(p, q) == brute_hausdorff(p, q)
+
+
+def test_record_type_hints_resolve():
+    # the records annotate plain float containers, no numpy names
+    for record in (SlowCurves, GapProfile, SingularConfiguration,
+                   ManifoldPatch):
+        assert set(typing.get_type_hints(record)) == set(record._fields)
 
 
 def test_hausdorff_preconditions():

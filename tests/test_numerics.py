@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from delaylab.errors import PreconditionError, QuadratureError, RootFindError
-from delaylab.numerics import find_root, integrate
+from delaylab.numerics import cumulative, find_root, integrate, linspace
 
 
 def bisect60(f, lo, hi):
@@ -63,6 +63,20 @@ def test_additivity_at_random_split_points():
         budget = 10.0 * (whole.abs_error_estimate + left.abs_error_estimate
                          + right.abs_error_estimate)
         assert abs(whole.value - (left.value + right.value)) <= budget
+
+
+def test_cumulative_is_the_running_panel_sum():
+    h = lambda x: math.exp(-x * x) * math.cos(3.0 * x)
+    xs = linspace(-1.5, 2.0, 41) + [2.0, 2.5]   # a repeated node too
+    got = cumulative(h, xs, 1e-10, 1e-13)
+    want = [0.0]
+    for a, b in zip(xs, xs[1:]):
+        want.append(want[-1] + integrate(h, a, b, 1e-10, 1e-13).value)
+    assert got == want
+    assert abs(got[-1] - integrate(h, -1.5, 2.5).value) <= 1e-12
+    assert cumulative(h, [0.5]) == [0.0]
+    # a descending grid accumulates signed panels
+    assert cumulative(h, xs[::-1])[-1] == pytest.approx(-got[-1], abs=1e-12)
 
 
 def test_sharp_peak_converges():

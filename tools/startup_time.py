@@ -5,8 +5,8 @@ Prints, as JSON, the median over ``--repeats`` runs of
 * ``import_parser_s``: the time a fresh interpreter takes to import
   ``delaylab.cli`` and build its parser, measured inside the child;
 * ``commands_s``: the wall time of ``python -m delaylab <cmd>`` on fixed
-  arguments for ``simulate``, ``sweep``, ``exit``, ``check`` and
-  ``geometry``;
+  arguments for ``simulate``, ``sweep``, ``exit``, ``exit --curves-csv``,
+  ``check`` and ``geometry``;
 
 and ``interpreter_s``, the wall time of a bare ``python -c pass``.
 
@@ -37,6 +37,8 @@ COMMANDS = {
     "simulate": ("simulate", *START, "--eps", "0.05"),
     "sweep": ("sweep", *START, "--eps", "0.2,0.1,0.05,0.025"),
     "exit": ("exit", "--model", "linear", "--x0", "-1"),
+    "exit --curves-csv": ("exit", "--model", "linear", "--x0", "-1",
+                          "--curves-csv", "curves.csv"),
     "check": ("check", "--model", "linear"),
     "geometry": ("geometry", *START),
 }
