@@ -30,7 +30,7 @@ _EXPORTS = {
     "entryexit": ("EntryExitSolution", "SlowCurves", "solve_exit",
                   "slow_curves", "zeta_minus_at", "zeta_plus_at",
                   "tau_minus_at", "tau_plus_at"),
-    "integrate": ("Controls", "Section", "Event", "Trajectory",
+    "integrate": ("Controls", "Section", "Trajectory",
                   "integrate_xz", "integrate_zeta", "min_z_exponent",
                   "z_of_zeta"),
     "geometry": ("SingularConfiguration", "ManifoldPatch",

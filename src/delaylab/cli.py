@@ -294,11 +294,10 @@ def _cmd_simulate(args, cfg: dict) -> int:
 
     print(f"chart={traj.chart} eps={output.fmt(eps)} steps={traj.n_steps} "
           f"rejected={traj.n_rejected} evaluations={traj.evaluations}")
-    if traj.events:
-        ev = traj.events[-1]
-        state_name = "zeta" if traj.chart == "zeta" else "z"
-        print(f"stop: t={output.fmt(ev.t)} tau={output.fmt(ev.tau)} "
-              f"x={output.fmt(ev.x)} {state_name}={output.fmt(ev.state)}")
+    state_name = "zeta" if traj.chart == "zeta" else "z"
+    fmt = output.fmt
+    print(f"stop: t={fmt(traj.t[-1])} tau={fmt(traj.tau[-1])} "
+          f"x={fmt(traj.x[-1])} {state_name}={fmt(traj.state[-1])}")
     header = output.header_line("simulate", m, {
         "x0": x0, "z0": z0, "eps": eps, "chart": chart,
         "stop": f"{stop.var}:{output.fmt(stop.value)}:{stop.direction:+d}",

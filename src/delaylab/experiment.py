@@ -65,13 +65,14 @@ class SweepReport(NamedTuple):
 
     def errors_against_reference(self) -> dict[str, list[tuple[float, float]]]:
         """Per quantity, the (eps, |measured - reference|) pairs."""
-        out: dict[str, list[tuple[float, float]]] = {}
-        for quantity, ref_attr in _QUANTITIES:
-            ref = getattr(self.reference, ref_attr)
-            out[quantity] = [
-                (r.eps, abs(getattr(r, quantity) - ref)) for r in self.records
-            ]
-        return out
+        return _errors(self.records, self.reference)
+
+
+def _errors(records: Sequence[SweepRecord], sol: EntryExitSolution
+            ) -> dict[str, list[tuple[float, float]]]:
+    return {quantity: [(r.eps, abs(getattr(r, quantity) - getattr(sol, ref)))
+                       for r in records]
+            for quantity, ref in _QUANTITIES}
 
 
 def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
@@ -110,15 +111,11 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
         t_begin = time.perf_counter()
         traj = integrate_zeta(m, InitialData(x0=x0, z0=z0, eps=eps),
                               stop, controls)
-        event = traj.events[-1]
-        minz = min_z_exponent(traj, eps)
         hd = cycle_distance(traj.xz_points(), sol.x0, sol.x1, z0)
-        probe = (_exit_x(m, x0 + h_probe, z0, eps, controls)
-                 - _exit_x(m, x0 - h_probe, z0, eps, controls)
-                 ) / (2.0 * h_probe)
-        return SweepRecord(eps=eps, minz_exponent=minz, exit_x=event.x,
-                           tau_exit=event.tau, hausdorff=hd,
-                           d_exit_dx0=probe,
+        probe = _central(m, x0, z0, eps, h_probe, controls)
+        return SweepRecord(eps=eps, minz_exponent=min_z_exponent(traj),
+                           exit_x=traj.x[-1], tau_exit=traj.tau[-1],
+                           hausdorff=hd, d_exit_dx0=probe,
                            wall_time_s=time.perf_counter() - t_begin)
 
     records: list[SweepRecord] = []
@@ -134,9 +131,7 @@ def run_sweep(m: Model, x0: float, z0: float, eps_list: list[float],
         raise DelayLabError(f"every eps in the sweep failed ({detail})")
 
     rates: dict[str, float] = {}
-    for quantity, ref_attr in _QUANTITIES:
-        ref = getattr(sol, ref_attr)
-        pts = [(r.eps, abs(getattr(r, quantity) - ref)) for r in records]
+    for quantity, pts in _errors(records, sol).items():
         pts = [(e, err) for e, err in pts if err > 0.0]
         if len(pts) >= 2:
             rates[quantity] = _slope([math.log(e) for e, _ in pts],
@@ -164,7 +159,14 @@ def _exit_x(m: Model, x_start: float, z0: float, eps: float,
         m, InitialData(x0=x_start, z0=z0, eps=eps),
         Section(var="z", value=z0, direction=+1, require_x_positive=True),
         replace(controls, sample_dt=1e9))
-    return traj.events[-1].x
+    return traj.x[-1]
+
+
+def _central(m: Model, x0: float, z0: float, eps: float, h: float,
+             controls: Controls) -> float:
+    """Central difference of the exit x over the entry x0 at step h."""
+    return (_exit_x(m, x0 + h, z0, eps, controls)
+            - _exit_x(m, x0 - h, z0, eps, controls)) / (2.0 * h)
 
 
 def _slope(u: list[float], v: list[float]) -> float:
@@ -206,12 +208,8 @@ def derivative_probe(m: Model, x0: float, z0: float, eps: float,
         raise PreconditionError(
             f"probe step must satisfy 0 < 2h < |x0|, got h={h}"
         )
-
-    def central(step: float) -> float:
-        return (_exit_x(m, x0 + step, z0, eps, controls)
-                - _exit_x(m, x0 - step, z0, eps, controls)) / (2.0 * step)
-
-    p_h, p_2h = central(h), central(2.0 * h)
+    p_h = _central(m, x0, z0, eps, h, controls)
+    p_2h = _central(m, x0, z0, eps, 2.0 * h, controls)
     return ProbeResult(value=p_h, uncertainty=abs(p_h - p_2h), step=h,
                        eps=eps)
 

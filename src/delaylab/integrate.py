@@ -17,7 +17,8 @@ with exp(-zeta/eps) flushed to exactly 0 once zeta/eps > 745.  The
 stepper is an embedded Dormand-Prince 5(4) pair with proportional
 step control, run on the plain float pair (x, z) or (x, zeta); stop
 sections are located by bisecting the cubic Hermite dense output of
-the accepted step down to a time tolerance.
+the accepted step down to ``EVENT_TIME_TOL``; the located crossing is
+the last sample of the returned trajectory.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .numerics import linspace
 
 Z_FLOOR = 1e-300     # the (x, z) chart is declared dead below this
 EXP_FLOOR = 745.0    # exp(-u) is exactly 0 in double precision past this
+EVENT_TIME_TOL = 1e-12   # bisection width of a located stop, in chart time
 
 
 def z_of_zeta(zeta: float, eps: float) -> float:
@@ -86,7 +88,6 @@ class Controls:
     initial_step: float | None = None   # default 1e-4 * characteristic time
     max_step: float | None = None
     sample_dt: float | None = None      # dense-output spacing (zeta chart)
-    event_time_tol: float = 1e-12
 
     def __post_init__(self):
         tols = (self.rel_tol, self.abs_tol)
@@ -102,18 +103,6 @@ class Controls:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0.0):
                 raise PreconditionError(f"{name} must be finite and > 0, got {value}")
-        if not (self.event_time_tol > 0.0):
-            raise PreconditionError(
-                f"event_time_tol must be > 0, got {self.event_time_tol}")
-
-
-class Event(NamedTuple):
-    index: int        # sample index of the located crossing
-    t: float
-    tau: float
-    x: float
-    state: float      # z or zeta, matching the chart
-    section: Section
 
 
 class Trajectory(NamedTuple):
@@ -121,11 +110,10 @@ class Trajectory(NamedTuple):
 
     ``state`` holds z in the 'xz' chart and zeta in the 'zeta' chart.
     ``t`` is fast time and ``tau = eps * t`` slow time in both charts.
-    The sample fields are tuples of floats (``event_flags`` of bools);
-    ``zeta()``, ``z()`` and ``xz_points()`` convert to lists, or return
-    ``state`` itself where it already holds the coordinate.
-    ``error_estimate`` accumulates the per-step embedded error (a crude
-    global-error proxy) and ``event_flags`` marks located crossings.
+    The sample fields are tuples of floats; the last sample is the
+    located stop.  ``zeta()``, ``z()`` and ``xz_points()`` convert to
+    lists, or return ``state`` itself where it already holds the
+    coordinate.
     """
 
     chart: str
@@ -134,11 +122,8 @@ class Trajectory(NamedTuple):
     tau: tuple[float, ...]
     x: tuple[float, ...]
     state: tuple[float, ...]
-    event_flags: tuple[bool, ...]
-    events: tuple[Event, ...]
     n_steps: int
     n_rejected: int
-    error_estimate: float
     evaluations: int
 
     def zeta(self) -> Sequence[float]:
@@ -202,31 +187,19 @@ def _ratio(e: float, scale: float) -> float:
     return e / scale
 
 
-class _EngineResult:
-    __slots__ = ("ts", "xs", "ss", "n_steps", "n_rejected", "err_accum",
-                 "evals")
-
-    def __init__(self):
-        self.ts: list[float] = []
-        self.xs: list[float] = []
-        self.ss: list[float] = []     # z or zeta, matching the chart
-        self.n_steps = 0
-        self.n_rejected = 0
-        self.err_accum = 0.0
-        self.evals = 0
-
-
 def _run_engine(rhs, y0: tuple[float, float], event_fn, direction: int,
                 guard_x_positive: bool, state_guard, controls: Controls,
                 h0: float, h_max: float, dense_dt: float | None,
-                underflow_remedy: str) -> _EngineResult:
+                underflow_remedy: str):
     """Shared adaptive DP5(4) loop on the float pair (x, state).
 
     ``rhs(x, s)`` returns the pair of derivatives, ``event_fn(x, s)``
     the scalar section residual, and ``state_guard(t, x, s)`` may raise
     on invalid states after each accepted step.  Time starts at 0.  The
     loop ends at the first admissible crossing, which becomes the last
-    sample, or raises when a budget or validity guard trips.
+    sample, or raises when a budget or validity guard trips.  Returns
+    the time, x and state sample lists and the counts of accepted
+    steps, rejected steps and right-hand-side evaluations.
     """
     (a21,), (a31, a32), (a41, a42, a43), (a51, a52, a53, a54), \
         (a61, a62, a63, a64, a65) = _A
@@ -235,15 +208,18 @@ def _run_engine(rhs, y0: tuple[float, float], event_fn, direction: int,
     abs_tol, rel_tol = controls.abs_tol, controls.rel_tol
     isfinite = math.isfinite
 
-    res = _EngineResult()
     t = 0.0
     x, s = y0
     k1x, k1s = rhs(x, s)
-    res.evals += 1
+    n_steps = n_rejected = 0
+    evals = 1
     if not (isfinite(k1x) and isfinite(k1s)):
         raise IntegrationError(f"non-finite derivative at t={t:.17g}")
 
-    ts_append, xs_append, ss_append = res.ts.append, res.xs.append, res.ss.append
+    ts: list[float] = []
+    xs: list[float] = []
+    ss: list[float] = []     # z or zeta, matching the chart
+    ts_append, xs_append, ss_append = ts.append, xs.append, ss.append
     ts_append(t)
     xs_append(x)
     ss_append(s)
@@ -253,7 +229,7 @@ def _run_engine(rhs, y0: tuple[float, float], event_fn, direction: int,
     next_dense = t + dense_dt if dense_dt is not None else None
 
     while True:
-        if res.n_steps >= controls.max_steps:
+        if n_steps >= controls.max_steps:
             raise MaxStepsExceededError(
                 f"no stop section reached within {controls.max_steps} steps "
                 f"(t={t:.17g})"
@@ -280,7 +256,7 @@ def _run_engine(rhs, y0: tuple[float, float], event_fn, direction: int,
         sn = s + h * (b1 * k1s + b2 * k2s + b3 * k3s + b4 * k4s + b5 * k5s
                       + b6 * k6s)
         k7x, k7s = rhs(xn, sn)
-        res.evals += 6
+        evals += 6
         if not (isfinite(xn) and isfinite(sn)
                 and isfinite(k2x) and isfinite(k2s) and isfinite(k3x)
                 and isfinite(k3s) and isfinite(k4x) and isfinite(k4s)
@@ -299,13 +275,12 @@ def _run_engine(rhs, y0: tuple[float, float], event_fn, direction: int,
         err_norm = math.sqrt((rx * rx + rs * rs) / 2.0)
 
         if err_norm > 1.0:
-            res.n_rejected += 1
+            n_rejected += 1
             h *= max(0.2, 0.9 * err_norm ** -0.2)
             continue
 
         # accepted
-        res.n_steps += 1
-        res.err_accum += max(abs(ex), abs(es))
+        n_steps += 1
         y, y_new = (x, s), (xn, sn)
         f_cur, f_new = (k1x, k1s), (k7x, k7s)
         t_new = t + h
@@ -322,7 +297,7 @@ def _run_engine(rhs, y0: tuple[float, float], event_fn, direction: int,
             lo, hi = 0.0, 1.0
             w_lo = e_prev
             # bisect the Hermite interpolant down to the time tolerance
-            while (hi - lo) * h > controls.event_time_tol:
+            while (hi - lo) * h > EVENT_TIME_TOL:
                 mid = 0.5 * (lo + hi)
                 w_mid = event_fn(*_hermite(mid, h, y, y_new, f_cur, f_new))
                 if w_mid == 0.0:
@@ -352,7 +327,7 @@ def _run_engine(rhs, y0: tuple[float, float], event_fn, direction: int,
             ts_append(t_star)
             xs_append(y_star[0])
             ss_append(y_star[1])
-            return res
+            return ts, xs, ss, n_steps, n_rejected, evals
 
         ts_append(t_new)
         xs_append(xn)
@@ -367,34 +342,19 @@ def _run_engine(rhs, y0: tuple[float, float], event_fn, direction: int,
         h *= factor
 
 
-def _to_trajectory(chart: str, eps: float, res: _EngineResult,
-                   stop: Section) -> Trajectory:
-    """Package an engine run, whose last sample is the located crossing;
-    its times are fast time t in the 'xz' chart and slow time tau in
-    the 'zeta' chart."""
+def _to_trajectory(chart: str, eps: float, ts, xs, ss, n_steps: int,
+                   n_rejected: int, evals: int) -> Trajectory:
+    """Package an engine run; its times ``ts`` are fast time t in the
+    'xz' chart and slow time tau in the 'zeta' chart."""
     if chart == "xz":
-        t = tuple(res.ts)
+        t = tuple(ts)
         tau = tuple(eps * v for v in t)
     else:
-        tau = tuple(res.ts)
+        tau = tuple(ts)
         t = tuple(v / eps for v in tau)
-    x, state = tuple(res.xs), tuple(res.ss)
-    n = len(t)
-    event = Event(index=n - 1, t=t[-1], tau=tau[-1], x=x[-1], state=state[-1],
-                  section=stop)
-    return Trajectory(chart=chart, eps=eps, t=t, tau=tau, x=x, state=state,
-                      event_flags=(False,) * (n - 1) + (True,),
-                      events=(event,),
-                      n_steps=res.n_steps, n_rejected=res.n_rejected,
-                      error_estimate=res.err_accum, evaluations=res.evals)
-
-
-def _grid_extrema(m: Model, n: int = 65):
-    """min f and max |g| over the window at z = 0, eps = 0."""
-    xs = linspace(m.window[0], m.window[1], n)
-    f_min = min(m.f(x, 0.0, 0.0) for x in xs)
-    g_max = max(abs(m.g(x, 0.0, 0.0)) for x in xs)
-    return f_min, g_max
+    return Trajectory(chart=chart, eps=eps, t=t, tau=tau, x=tuple(xs),
+                      state=tuple(ss), n_steps=n_steps, n_rejected=n_rejected,
+                      evaluations=evals)
 
 
 def _validate_start(m: Model, d: InitialData):
@@ -431,7 +391,7 @@ def integrate_xz(m: Model, d: InitialData, stop: Section,
     if stop.var == "zeta" and eps == 0.0:
         raise PreconditionError("a zeta-section is undefined at eps = 0")
 
-    _, g_max = _grid_extrema(m)
+    g_max = max(abs(m.g(x, 0.0, 0.0)) for x in linspace(*m.window, 65))
     t_char = 1.0 / max(g_max, 1e-6)
     h0 = controls.initial_step if controls.initial_step is not None else 1e-4 * t_char
     h_max = controls.max_step if controls.max_step is not None else t_char
@@ -463,10 +423,9 @@ def integrate_xz(m: Model, d: InitialData, stop: Section,
 
     remedy = ("; z decays exponentially fast in this chart, consider the "
               "logarithmic chart (integrate_zeta)")
-    res = _run_engine(rhs, (d.x0, d.z0), event, stop.direction,
-                      stop.require_x_positive, guard, controls, h0, h_max,
-                      controls.sample_dt, remedy)
-    return _to_trajectory("xz", eps, res, stop)
+    return _to_trajectory("xz", eps, *_run_engine(
+        rhs, (d.x0, d.z0), event, stop.direction, stop.require_x_positive,
+        guard, controls, h0, h_max, controls.sample_dt, remedy))
 
 
 def integrate_zeta(m: Model, d: InitialData, stop: Section,
@@ -485,7 +444,7 @@ def integrate_zeta(m: Model, d: InitialData, stop: Section,
         )
     zeta_init = eps * math.log(1.0 / d.z0)
 
-    f_min, _ = _grid_extrema(m)
+    f_min = min(m.f(x, 0.0, 0.0) for x in linspace(*m.window, 65))
     if not (f_min > 0.0):
         raise PreconditionError(
             f"f must be positive on the window (grid minimum {f_min:.6g})"
@@ -527,13 +486,12 @@ def integrate_zeta(m: Model, d: InitialData, stop: Section,
         def event(x: float, zeta: float) -> float:
             return zeta - c
 
-    res = _run_engine(rhs, (d.x0, zeta_init), event, direction,
-                      stop.require_x_positive, _window_guard(m), controls,
-                      h0, h_max, dense_dt, "")
-    return _to_trajectory("zeta", eps, res, stop)
+    return _to_trajectory("zeta", eps, *_run_engine(
+        rhs, (d.x0, zeta_init), event, direction, stop.require_x_positive,
+        _window_guard(m), controls, h0, h_max, dense_dt, ""))
 
 
-def min_z_exponent(traj: Trajectory, eps: float) -> float:
+def min_z_exponent(traj: Trajectory) -> float:
     """Largest zeta along a logarithmic-chart trajectory.
 
     Equals eps * log(1 / min z).  The discrete maximum is sharpened by
@@ -542,10 +500,6 @@ def min_z_exponent(traj: Trajectory, eps: float) -> float:
     """
     if traj.chart != "zeta":
         raise PreconditionError("min_z_exponent needs a zeta-chart trajectory")
-    if eps != traj.eps:
-        raise PreconditionError(
-            f"eps={eps} does not match the trajectory's eps={traj.eps}"
-        )
     n = len(traj.state)
     if n < 3:
         raise PreconditionError(

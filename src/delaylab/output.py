@@ -9,7 +9,6 @@ files.  Wall-clock timings never enter serialized output.
 from __future__ import annotations
 
 import json
-import math
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ._version import VERSION
@@ -102,29 +101,18 @@ def write_trajectory_csv(path: str, traj: Trajectory,
     """Columns t, tau, x, z, zeta, event.
 
     In the logarithmic chart the z cell is left blank where z is not
-    representable as a double (zeta/eps beyond the exp underflow
-    threshold); in the raw chart zeta is eps * log(1/z), identically
-    0 in the frozen-drift limit eps = 0.
+    representable as a double (``traj.z()`` flushed it to 0); in the
+    raw chart zeta is eps * log(1/z), identically 0 in the frozen-drift
+    limit eps = 0.  ``event`` is 1 on the last row, the located stop.
     """
-    from .integrate import EXP_FLOOR
-
     names = ("t", "tau", "x", "z", "zeta", "event")
-    zeta = traj.zeta()
-    flags = traj.event_flags
-
-    def rows():
-        if traj.chart == "zeta":
-            for i in range(len(traj.t)):
-                u = traj.state[i] / traj.eps
-                z_cell = "" if u > EXP_FLOOR else fmt(math.exp(-u))
-                yield (traj.t[i], traj.tau[i], traj.x[i], z_cell,
-                       traj.state[i], int(flags[i]))
-        else:
-            for i in range(len(traj.t)):
-                yield (traj.t[i], traj.tau[i], traj.x[i], traj.state[i],
-                       zeta[i], int(flags[i]))
-
-    write_csv(path, names, rows(), header_lines)
+    blank_flushed = traj.chart == "zeta"
+    last = len(traj.t) - 1
+    rows = ((t, tau, x, "" if blank_flushed and z == 0.0 else z, zeta,
+             int(i == last))
+            for i, (t, tau, x, z, zeta) in enumerate(zip(
+                traj.t, traj.tau, traj.x, traj.z(), traj.zeta())))
+    write_csv(path, names, rows, header_lines)
 
 
 def sweep_report_to_dict(report: SweepReport, meta: dict) -> dict:

@@ -178,7 +178,7 @@ def test_result_records_are_immutable(linear_sweep):
     m, report = linear_sweep
     traj = integrate_zeta(m, InitialData(x0=-1.0, z0=0.1, eps=0.1),
                           Section("z", 0.1, +1, require_x_positive=True))
-    for record, field in ((traj, "eps"), (traj.events[-1], "x"),
+    for record, field in ((traj, "eps"), (traj, "x"),
                           (report.records[0], "exit_x"),
                           (report.reference, "x1")):
         with pytest.raises(AttributeError):

@@ -14,6 +14,7 @@ from delaylab.errors import (IntegrationError, MaxStepsExceededError,
 from delaylab.integrate import (Controls, Section, Trajectory, integrate_xz,
                                 integrate_zeta, min_z_exponent, z_of_zeta)
 from delaylab.model import InitialData, Model, get_model, model_from_expressions
+from delaylab.output import write_trajectory_csv
 
 TIGHT = Controls(rel_tol=1e-12, abs_tol=1e-14)
 
@@ -23,9 +24,7 @@ def make_traj(tau, state, eps=0.1, chart="zeta"):
     state = np.asarray(state, dtype=float)
     return Trajectory(chart=chart, eps=eps, t=tau / eps if eps else tau,
                       tau=tau, x=np.zeros_like(tau), state=state,
-                      event_flags=np.zeros(len(tau), dtype=bool), events=(),
-                      n_steps=len(tau) - 1, n_rejected=0,
-                      error_estimate=0.0, evaluations=0)
+                      n_steps=len(tau) - 1, n_rejected=0, evaluations=0)
 
 
 def test_section_validation():
@@ -53,12 +52,11 @@ def test_frozen_drift_keeps_x_constant():
     assert np.max(np.abs(np.asarray(traj.x) + 1.0)) <= 1e-14
     assert np.all(np.asarray(traj.tau) == 0.0)
     # z' = -z at x = -1, so z hits 0.01 at t = ln 10
-    assert len(traj.events) == 1
-    assert abs(traj.events[0].t - math.log(10.0)) <= 1e-7
+    assert abs(traj.t[-1] - math.log(10.0)) <= 1e-7
 
     tight = integrate_xz(m, InitialData(-1.0, 0.1, 0.0),
                          Section("z", 0.01, direction=-1), TIGHT)
-    assert abs(tight.events[0].t - math.log(10.0)) <= 1e-9
+    assert abs(tight.t[-1] - math.log(10.0)) <= 1e-9
 
 
 def test_pure_exponential_decay_is_exact():
@@ -67,8 +65,8 @@ def test_pure_exponential_decay_is_exact():
     target = z0 * math.exp(-5.0)
     traj = integrate_xz(m, InitialData(-1.0, z0, 0.0),
                         Section("z", target, direction=-1), TIGHT)
-    assert abs(traj.events[0].t - 5.0) <= 1e-9
-    assert abs(traj.events[0].state - target) <= 1e-12
+    assert abs(traj.t[-1] - 5.0) <= 1e-9
+    assert abs(traj.state[-1] - target) <= 1e-12
 
 
 def test_log_chart_delay_exponent_moderate_eps():
@@ -76,7 +74,7 @@ def test_log_chart_delay_exponent_moderate_eps():
     eps, z0 = 0.1, 0.1
     traj = integrate_zeta(m, InitialData(-1.0, z0, eps),
                           Section("z", z0, direction=1, require_x_positive=True))
-    peak = min_z_exponent(traj, eps)
+    peak = min_z_exponent(traj)
     expected = 0.5 + eps * math.log(1.0 / z0)
     assert abs(peak - expected) <= 1e-6
     assert abs(peak - 0.7303) <= 0.15
@@ -87,7 +85,7 @@ def test_log_chart_survives_tiny_eps():
     eps, z0 = 1e-4, 0.1
     traj = integrate_zeta(m, InitialData(-1.0, z0, eps),
                           Section("z", z0, direction=1, require_x_positive=True))
-    peak = min_z_exponent(traj, eps)
+    peak = min_z_exponent(traj)
     assert 0.49 < peak < 0.51
     # deep in the delay the represented z is exactly 0
     assert np.min(traj.z()) == 0.0
@@ -109,7 +107,7 @@ def test_zeta_section_exit_matches_slow_drift():
                    require_x_positive=True)
     traj = integrate_zeta(m, InitialData(x0, z0, eps), stop)
     sol = solve_exit(m, x0)
-    exit_x = traj.events[0].x
+    exit_x = traj.x[-1]
     assert abs(exit_x - 0.3661) <= 0.05
     assert abs(exit_x - sol.x1) <= 1e-6
 
@@ -121,7 +119,7 @@ def test_charts_agree_on_exit_point():
         stop = Section("z", z0, direction=1, require_x_positive=True)
         raw = integrate_xz(m, InitialData(-1.0, z0, eps), stop, TIGHT)
         log = integrate_zeta(m, InitialData(-1.0, z0, eps), stop, TIGHT)
-        assert abs(raw.events[0].x - log.events[0].x) <= 1e-6
+        assert abs(raw.x[-1] - log.x[-1]) <= 1e-6
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,7 +142,7 @@ def test_both_charts_exit_at_the_closed_form_root(a, beta, x0):
     relative = Controls(rel_tol=1e-12, abs_tol=1e-18)
     for integrator in (integrate_xz, integrate_zeta):
         traj = integrator(m, InitialData(x0, 0.1, 0.05), stop, relative)
-        assert abs(traj.events[-1].x - x1) <= 1e-8, integrator.__name__
+        assert abs(traj.x[-1] - x1) <= 1e-8, integrator.__name__
 
 
 def test_z_and_zeta_sections_are_equivalent():
@@ -155,8 +153,8 @@ def test_z_and_zeta_sections_are_equivalent():
     by_zeta = integrate_zeta(m, InitialData(-1.0, z0, eps),
                              Section("zeta", eps * math.log(1.0 / z0),
                                      direction=-1, require_x_positive=True))
-    assert abs(by_z.events[0].x - by_zeta.events[0].x) <= 1e-9
-    assert abs(by_z.events[0].tau - by_zeta.events[0].tau) <= 1e-9
+    assert abs(by_z.x[-1] - by_zeta.x[-1]) <= 1e-9
+    assert abs(by_z.tau[-1] - by_zeta.tau[-1]) <= 1e-9
 
 
 def test_time_bookkeeping_and_ordering():
@@ -166,21 +164,31 @@ def test_time_bookkeeping_and_ordering():
                           Section("z", 0.1, direction=1, require_x_positive=True))
     assert np.all(np.diff(traj.t) > 0.0)
     assert np.max(np.abs(np.asarray(traj.tau) - eps * np.asarray(traj.t))) <= 1e-12 * max(1.0, traj.t[-1])
-    assert traj.event_flags[-1]
-    assert traj.events[0].index == len(traj.t) - 1
     raw = integrate_xz(m, InitialData(-1.0, 0.1, eps),
                        Section("z", 0.1, direction=1, require_x_positive=True))
     assert np.all(np.diff(raw.t) > 0.0)
     assert np.max(np.abs(np.asarray(raw.tau) - eps * np.asarray(raw.t))) <= 1e-12 * max(1.0, raw.t[-1])
 
 
-def test_event_state_honors_section_value():
+def test_event_state_honors_section_value(tmp_path):
+    # the last sample is the located stop: it sits on the section, and
+    # the CSV flags it and no other row; both charts, all three sections
     m = get_model("linear")
-    eps, z0 = 0.1, 0.1
-    c = eps * math.log(1.0 / z0)
-    traj = integrate_zeta(m, InitialData(-1.0, z0, eps),
-                          Section("z", z0, direction=1, require_x_positive=True))
-    assert abs(traj.events[0].state - c) <= 1e-9
+    sections = (Section("z", 0.1, direction=1, require_x_positive=True),
+                Section("zeta", 0.1 * math.log(1.0 / 0.1), direction=-1,
+                        require_x_positive=True),
+                Section("x", 0.5, direction=1))
+    path = tmp_path / "traj.csv"
+    for integrator in (integrate_xz, integrate_zeta):
+        for stop in sections:
+            traj = integrator(m, InitialData(-1.0, 0.1, 0.1), stop)
+            on_stop = {"x": traj.x[-1], "z": traj.z()[-1],
+                       "zeta": traj.zeta()[-1]}[stop.var]
+            assert abs(on_stop - stop.value) <= 1e-9, (integrator, stop)
+            write_trajectory_csv(str(path), traj)
+            flags = [line.rsplit(",", 1)[1]
+                     for line in path.read_text().splitlines()[1:]]
+            assert flags == ["0"] * (len(traj.t) - 1) + ["1"], (integrator, stop)
 
 
 def test_direction_and_x_positive_filters():
@@ -189,51 +197,38 @@ def test_direction_and_x_positive_filters():
     z_mid = 0.05  # crossed downward at x < 0, upward at x > 0
     down = integrate_zeta(m, InitialData(-1.0, z0, eps),
                           Section("z", z_mid, direction=-1))
-    assert down.events[0].x < 0.0
+    assert down.x[-1] < 0.0
     up = integrate_zeta(m, InitialData(-1.0, z0, eps),
                         Section("z", z_mid, direction=1))
-    assert up.events[0].x > 0.0
+    assert up.x[-1] > 0.0
     first = integrate_zeta(m, InitialData(-1.0, z0, eps),
                            Section("z", z_mid, direction=0))
-    assert first.events[0].x < 0.0
+    assert first.x[-1] < 0.0
     guarded = integrate_zeta(m, InitialData(-1.0, z0, eps),
                              Section("z", z_mid, direction=0,
                                      require_x_positive=True))
-    assert guarded.events[0].x > 0.0
+    assert guarded.x[-1] > 0.0
 
 
 def test_min_z_exponent_quadratic_sharpening():
     traj = make_traj([0.0, 1.0, 2.0], [0.1, 0.5, 0.1])
-    assert min_z_exponent(traj, 0.1) == pytest.approx(0.5, abs=1e-15)
+    assert min_z_exponent(traj) == pytest.approx(0.5, abs=1e-15)
 
 
 def test_min_z_exponent_monotone_returns_endpoint():
     traj = make_traj([0.0, 1.0, 2.0], [0.1, 0.2, 0.3])
-    assert min_z_exponent(traj, 0.1) == 0.3
+    assert min_z_exponent(traj) == 0.3
     traj = make_traj([0.0, 1.0, 2.0], [0.3, 0.2, 0.1])
-    assert min_z_exponent(traj, 0.1) == 0.3
+    assert min_z_exponent(traj) == 0.3
 
 
 def test_min_z_exponent_preconditions():
     traj = make_traj([0.0, 1.0], [0.1, 0.2])
     with pytest.raises(PreconditionError):
-        min_z_exponent(traj, 0.1)
-    traj = make_traj([0.0, 1.0, 2.0], [0.1, 0.2, 0.3])
-    with pytest.raises(PreconditionError):
-        min_z_exponent(traj, 0.2)  # eps mismatch
+        min_z_exponent(traj)
     raw = make_traj([0.0, 1.0, 2.0], [0.1, 0.2, 0.3], chart="xz")
     with pytest.raises(PreconditionError):
-        min_z_exponent(raw, 0.1)
-
-
-def test_tightening_tolerance_moves_exit_less_than_estimate():
-    m = get_model("linear")
-    d = InitialData(-1.0, 0.1, 0.1)
-    stop = Section("z", 0.1, direction=1, require_x_positive=True)
-    coarse = integrate_zeta(m, d, stop, Controls(rel_tol=1e-6, abs_tol=1e-9))
-    fine = integrate_zeta(m, d, stop, Controls(rel_tol=5e-7, abs_tol=1e-9))
-    shift = abs(coarse.events[0].x - fine.events[0].x)
-    assert shift <= coarse.error_estimate
+        min_z_exponent(raw)
 
 
 def test_exit_converges_with_tolerance_on_z_dependent_model():
@@ -243,12 +238,12 @@ def test_exit_converges_with_tolerance_on_z_dependent_model():
     d = InitialData(-1.0, 0.5, 0.1)
     stop = Section("z", 0.5, direction=1, require_x_positive=True)
     ref = integrate_zeta(m, d, stop,
-                         Controls(rel_tol=1e-11, abs_tol=1e-13)).events[0].x
+                         Controls(rel_tol=1e-11, abs_tol=1e-13)).x[-1]
     errs = []
     for rel in (1e-4, 1e-6, 1e-8):
         tr = integrate_zeta(m, d, stop,
                             Controls(rel_tol=rel, abs_tol=rel * 1e-3))
-        errs.append(abs(tr.events[0].x - ref))
+        errs.append(abs(tr.x[-1] - ref))
     assert errs[0] <= 1e-4
     assert errs[2] <= 1e-6
     assert errs[0] > errs[1] > errs[2]
@@ -267,7 +262,7 @@ def test_controls_validation():
         dict(sample_dt=0.0), dict(sample_dt=-0.1), dict(sample_dt=math.inf),
         dict(rel_tol=-1.0), dict(abs_tol=math.nan),
         dict(rel_tol=0.0, abs_tol=0.0), dict(max_steps=0),
-        dict(initial_step=0.0), dict(max_step=-1.0), dict(event_time_tol=0.0),
+        dict(initial_step=0.0), dict(max_step=-1.0),
     )
     for kwargs in bad:
         with pytest.raises(PreconditionError):

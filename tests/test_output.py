@@ -45,9 +45,7 @@ def _tiny_traj(chart, eps, state):
     t = np.array([0.0, 1.0, 2.0])
     return Trajectory(chart=chart, eps=eps, t=t, tau=eps * t,
                       x=np.array([-1.0, -0.5, 0.0]), state=np.asarray(state),
-                      event_flags=np.zeros(3, dtype=bool), events=(),
-                      n_steps=2, n_rejected=0, error_estimate=0.0,
-                      evaluations=10)
+                      n_steps=2, n_rejected=0, evaluations=10)
 
 
 def test_trajectory_csv_blanks_unrepresentable_z(tmp_path):
