@@ -28,11 +28,9 @@ _EXPORTS = {
               "check_hypotheses", "validate_initial"),
     "numerics": ("QuadResult", "quad", "find_root"),
     "entryexit": ("EntryExitSolution", "SlowCurves", "solve_exit",
-                  "slow_curves", "zeta_minus_at", "zeta_plus_at",
-                  "tau_minus_at", "tau_plus_at"),
+                  "slow_curves"),
     "integrate": ("Controls", "Section", "Trajectory",
-                  "integrate_xz", "integrate_zeta", "min_z_exponent",
-                  "z_of_zeta"),
+                  "integrate_xz", "integrate_zeta", "min_z_exponent"),
     "geometry": ("SingularConfiguration", "ManifoldPatch",
                  "build_configuration", "build_manifolds",
                  "transversality_det", "hausdorff_distance",

@@ -243,7 +243,7 @@ def _cmd_exit(args, cfg: dict) -> int:
     output.write_json(path, output.exit_solution_to_dict(sol, meta))
     print(f"wrote {path}")
     if args.curves_csv is not None:
-        curves = slow_curves(m, x0, sol.x1, n=args.curves_n, tau1=sol.tau1)
+        curves = slow_curves(m, x0, sol.x1, sol.tau1, n=args.curves_n)
         cpath = os.path.join(out_dir, args.curves_csv)
         header = output.header_line("exit", m, {"x0": x0, "x1": sol.x1})
         output.write_curves_csv(cpath, curves, [header])
@@ -288,7 +288,9 @@ def _cmd_simulate(args, cfg: dict) -> int:
                        require_x_positive=True)
 
     data = InitialData(x0=x0, z0=z0, eps=eps)
-    validate_initial(m, data)
+    report = validate_initial(m, data)
+    if not report.passed:
+        raise PreconditionError(report.summary())
     integrator = integrate_zeta if chart == "zeta" else integrate_xz
     traj = integrator(m, data, stop, controls)
 

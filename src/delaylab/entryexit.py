@@ -14,7 +14,6 @@ zeta_plus/tau_plus (carried back from a candidate exit point).
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from . import numerics
@@ -44,32 +43,7 @@ def _inv_f(m: Model):
     return h
 
 
-def zeta_minus_at(m: Model, x0: float, x: float,
-                  rel_tol: float = 1e-12, abs_tol: float = 1e-14) -> float:
-    """Accumulated inflow -g/f from x0 to x."""
-    return -numerics.integrate(_slow_ratio(m), x0, x, rel_tol, abs_tol).value
-
-
-def tau_minus_at(m: Model, x0: float, x: float,
-                 rel_tol: float = 1e-12, abs_tol: float = 1e-14) -> float:
-    """Slow time 1/f accumulated from x0 to x."""
-    return numerics.integrate(_inv_f(m), x0, x, rel_tol, abs_tol).value
-
-
-def zeta_plus_at(m: Model, x: float, x1_hat: float,
-                 rel_tol: float = 1e-12, abs_tol: float = 1e-14) -> float:
-    """Outflow g/f accumulated from x back to the candidate exit x1_hat."""
-    return numerics.integrate(_slow_ratio(m), x, x1_hat, rel_tol, abs_tol).value
-
-
-def tau_plus_at(m: Model, x: float, x1_hat: float, tau1: float,
-                rel_tol: float = 1e-12, abs_tol: float = 1e-14) -> float:
-    """Slow time at x carried backwards from (x1_hat, tau1)."""
-    return tau1 - numerics.integrate(_inv_f(m), x, x1_hat, rel_tol, abs_tol).value
-
-
-def solve_exit(m: Model, x0: float, rel_tol: float = 1e-12,
-               abs_tol: float = 1e-14, root_tol: float = 1e-12) -> EntryExitSolution:
+def solve_exit(m: Model, x0: float) -> EntryExitSolution:
     """Solve the entry-exit relation for the exit point paired with x0.
 
     The root bracket starts at the turning point and expands
@@ -84,7 +58,7 @@ def solve_exit(m: Model, x0: float, rel_tol: float = 1e-12,
         )
 
     ratio = _slow_ratio(m)
-    q0 = numerics.integrate(ratio, x0, 0.0, rel_tol, abs_tol)
+    q0 = numerics.integrate(ratio, x0, 0.0)
     evals = q0.evaluations
     zeta0 = -q0.value
     if not (zeta0 > 0.0):
@@ -95,7 +69,7 @@ def solve_exit(m: Model, x0: float, rel_tol: float = 1e-12,
 
     def F(s: float) -> float:
         nonlocal evals
-        q = numerics.integrate(ratio, 0.0, s, rel_tol, abs_tol)
+        q = numerics.integrate(ratio, 0.0, s)
         evals += q.evaluations
         return q.value - zeta0
 
@@ -116,10 +90,10 @@ def solve_exit(m: Model, x0: float, rel_tol: float = 1e-12,
     if f_hi == 0.0:
         x1 = hi
     else:
-        x1 = numerics.find_root(F, lo, hi, tol=root_tol)
+        x1 = numerics.find_root(F, lo, hi)
     residual = F(x1)
 
-    q1 = numerics.integrate(_inv_f(m), x0, x1, rel_tol, abs_tol)
+    q1 = numerics.integrate(_inv_f(m), x0, x1)
     evals += q1.evaluations
     tau1 = q1.value
 
@@ -144,19 +118,14 @@ class SlowCurves(NamedTuple):
     tau_minus: list[float]
     zeta_plus: list[float]
     tau_plus: list[float]
-    x0: float
-    x1_hat: float
-    tau1: float
 
 
-def slow_curves(m: Model, x0: float, x1_hat: float, n: int = 512,
-                tau1: float | None = None, rel_tol: float = 1e-12,
-                abs_tol: float = 1e-14) -> SlowCurves:
+def slow_curves(m: Model, x0: float, x1_hat: float, tau1: float,
+                n: int = 512) -> SlowCurves:
     """Sample zeta/tau curves on a uniform grid from x0 to x1_hat.
 
-    Panel-wise cumulative quadrature keeps the samples additive.  When
-    ``tau1`` is omitted the candidate exit is treated as the true one
-    and the total slow travel time of the grid is used.
+    Panel-wise cumulative quadrature keeps the samples additive; the
+    plus curves are carried back from (x1_hat, tau1).
     """
     if n < 2:
         raise PreconditionError(f"n must be at least 2, got {n}")
@@ -166,12 +135,9 @@ def slow_curves(m: Model, x0: float, x1_hat: float, n: int = 512,
             f"need x_min <= x0 < 0 < x1_hat <= x_max, got x0={x0}, x1_hat={x1_hat}"
         )
     xs = numerics.linspace(x0, x1_hat, n)
-    G = numerics.cumulative(_slow_ratio(m), xs, rel_tol, abs_tol)
-    T = numerics.cumulative(_inv_f(m), xs, rel_tol, abs_tol)
+    G = numerics.cumulative(_slow_ratio(m), xs)
+    T = numerics.cumulative(_inv_f(m), xs)
     g_end, t_end = G[-1], T[-1]
-    if tau1 is None:
-        tau1 = t_end
     return SlowCurves(x=xs, zeta_minus=[-g for g in G], tau_minus=T,
                       zeta_plus=[g_end - g for g in G],
-                      tau_plus=[tau1 - (t_end - t) for t in T],
-                      x0=float(x0), x1_hat=float(x1_hat), tau1=float(tau1))
+                      tau_plus=[tau1 - (t_end - t) for t in T])

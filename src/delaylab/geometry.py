@@ -72,7 +72,7 @@ def build_configuration(m: Model, sol: EntryExitSolution, z0: float,
         raise PreconditionError(f"need at least 2 samples per piece, got {n}")
 
     x0, x1, tau1 = sol.x0, sol.x1, sol.tau1
-    curves = slow_curves(m, x0, x1, n=n, tau1=tau1)
+    curves = slow_curves(m, x0, x1, tau1, n=n)
     gamma1 = tuple((x0, z, 0.0, 0.0) for z in linspace(z0, 0.0, n))
     gamma0 = tuple((x, 0.0, zeta, tau) for x, zeta, tau
                    in zip(curves.x, curves.zeta_minus, curves.tau_minus))
@@ -86,25 +86,13 @@ class ManifoldPatch(NamedTuple):
 
     ``points[i][j]`` is the (x, zeta, tau) sample at base parameter
     ``param1[i]`` (position along the slow flow) and ruling parameter
-    ``param2[j]``; ``tangent1`` holds the flow direction (f, -g, 1)
-    and ``tangent2`` the ruling direction at each sample, indexed the
-    same way.
+    ``param2[j]``.
     """
 
     name: str
     param1: tuple[float, ...]
     param2: tuple[float, ...]
     points: tuple[Rows, ...]
-    tangent1: tuple[Rows, ...]
-    tangent2: tuple[Rows, ...]
-
-    def center_ruling(self) -> list[tuple[float, ...]]:
-        """The n1 (x, zeta, tau) samples at the middle ruling parameter."""
-        return self.slice_at(len(self.param2) // 2)
-
-    def slice_at(self, j: int) -> list[tuple[float, ...]]:
-        """The n1 (x, zeta, tau) samples at ruling index j."""
-        return [row[j] for row in self.points]
 
 
 def build_manifolds(m: Model, x0: float, x1: float, delta: float,
@@ -162,8 +150,6 @@ def build_manifolds(m: Model, x0: float, x1: float, delta: float,
     g_xs = [big_g[index[x]] for x in xs]
     t_xs = [big_t[index[x]] for x in xs]
     tau1 = big_t[index[x1]]
-    flow = tuple(((m.f(x, 0.0, 0.0), -m.g(x, 0.0, 0.0), 1.0),) * n2
-                 for x in xs)
 
     # --- attracting patch: time-shifted copies of the entry profile --
     shifts = linspace(-delta, delta, n2)
@@ -171,17 +157,14 @@ def build_manifolds(m: Model, x0: float, x1: float, delta: float,
     left = ManifoldPatch(
         name="attracting", param1=tuple(xs), param2=tuple(shifts),
         points=tuple(tuple((x, -g, t + s) for s in shifts)
-                     for x, g, t in zip(xs, g_xs, t_xs)),
-        tangent1=flow, tangent2=(((0.0, 0.0, 1.0),) * n2,) * n)
+                     for x, g, t in zip(xs, g_xs, t_xs)))
 
     # --- repelling patch: backward profiles from shifted exit points --
     ends = [(big_g[index[xe]], big_t[index[xe]]) for xe in x_exit]
-    ruling = (0.0, m.g(x1, 0.0, 0.0), -1.0)
     right = ManifoldPatch(
         name="repelling", param1=tuple(xs), param2=tuple(x_exit),
         points=tuple(tuple((x, ge - g, tau1 - (te - t)) for ge, te in ends)
-                     for x, g, t in zip(xs, g_xs, t_xs)),
-        tangent1=flow, tangent2=((ruling,) * n2,) * n)
+                     for x, g, t in zip(xs, g_xs, t_xs)))
     return left, right
 
 

@@ -37,18 +37,6 @@ EXP_FLOOR = 745.0    # exp(-u) is exactly 0 in double precision past this
 EVENT_TIME_TOL = 1e-12   # bisection width of a located stop, in chart time
 
 
-def z_of_zeta(zeta: float, eps: float) -> float:
-    """Map the logarithmic coordinate back to z, flushing underflow to 0."""
-    u = zeta / eps
-    if u > EXP_FLOOR:
-        return 0.0
-    if u < -709.0:
-        raise IntegrationError(
-            f"z = exp({-u:.6g}) overflows double precision"
-        )
-    return math.exp(-u)
-
-
 @dataclass(frozen=True)
 class Section:
     """A stop section: one coordinate pinned to a value.
@@ -87,7 +75,7 @@ class Controls:
     max_steps: int = 10_000_000
     initial_step: float | None = None   # default 1e-4 * characteristic time
     max_step: float | None = None
-    sample_dt: float | None = None      # dense-output spacing (zeta chart)
+    sample_dt: float | None = None      # dense-output spacing (xz default: off)
 
     def __post_init__(self):
         tols = (self.rel_tol, self.abs_tol)
@@ -136,12 +124,21 @@ class Trajectory(NamedTuple):
         return [eps * math.log(1.0 / z) for z in self.state]
 
     def z(self) -> Sequence[float]:
-        """z values with unrepresentable entries flushed to exactly 0."""
+        """z values with unrepresentable entries flushed to exactly 0.
+
+        Raises ``IntegrationError`` where z overflows a double.
+        """
         if self.chart == "xz":
             return self.state
         eps = self.eps
-        return [math.exp(-u) if u <= EXP_FLOOR else 0.0
-                for u in (zeta / eps for zeta in self.state)]
+        try:
+            return [math.exp(-u) if u <= EXP_FLOOR else 0.0
+                    for u in (zeta / eps for zeta in self.state)]
+        except OverflowError:
+            raise IntegrationError(
+                f"z = exp({-min(self.state) / eps:.6g}) overflows double "
+                "precision"
+            ) from None
 
     def xz_points(self) -> list[tuple[float, float]]:
         return list(zip(self.x, self.z()))

@@ -27,6 +27,8 @@ Evaluator = Callable[[float, float, float], float]
 # g(0,0,0) = 0 is permitted, so sign checks skip a tiny neighborhood
 # of the turning point.
 SIGN_EXCLUSION_RADIUS = 1e-9
+# samples of z on [0, z0] in the attracting-entry check
+ENTRY_GRID_N = 256
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,8 @@ def check_hypotheses(m: Model, grid_n: int = 1024) -> HypothesisReport:
     return HypothesisReport(m.name, grid_n, checks)
 
 
-def validate_initial(m: Model, d: InitialData, grid_n: int = 256) -> HypothesisReport:
+def validate_initial(m: Model, d: InitialData) -> HypothesisReport:
     """Check g(x0, z, 0) < 0 for z sampled on [0, z0] (entry is attracting)."""
-    if grid_n < 2:
-        raise PreconditionError(f"grid_n must be at least 2, got {grid_n}")
     x_min, x_max = m.window
     if not (x_min < d.x0 < x_max):
         raise PreconditionError(
@@ -152,13 +152,13 @@ def validate_initial(m: Model, d: InitialData, grid_n: int = 256) -> HypothesisR
     if d.z0 > m.z_cap:
         raise PreconditionError(f"z0={d.z0} exceeds z_cap={m.z_cap}")
     bad = None
-    for z in linspace(0.0, d.z0, grid_n):
+    for z in linspace(0.0, d.z0, ENTRY_GRID_N):
         v = m.g(d.x0, z, 0.0)
         if not v < 0.0:
             bad = (z, float(v))
             break
     check = HypothesisCheck("g(x0, z, 0) < 0 on [0, z0]", bad is None, bad)
-    return HypothesisReport(m.name, grid_n, (check,))
+    return HypothesisReport(m.name, ENTRY_GRID_N, (check,))
 
 
 def _linear() -> Model:

@@ -153,8 +153,7 @@ def integrate(h: Callable[[float], float], a: float, b: float,
     return QuadResult(total_value, estimate, evals)
 
 
-def cumulative(h: Callable[[float], float], xs: Sequence[float],
-               rel_tol: float = 1e-12, abs_tol: float = 1e-14) -> list[float]:
+def cumulative(h: Callable[[float], float], xs: Sequence[float]) -> list[float]:
     """Running integrals of ``h`` from xs[0] to each xs[i].
 
     Entry 0 is 0.0 and entry i adds ``integrate(h, xs[i-1], xs[i])`` to
@@ -163,7 +162,7 @@ def cumulative(h: Callable[[float], float], xs: Sequence[float],
     total = 0.0
     out = [total]
     for a, b in zip(xs, xs[1:]):
-        total += integrate(h, a, b, rel_tol, abs_tol).value
+        total += integrate(h, a, b).value
         out.append(total)
     return out
 

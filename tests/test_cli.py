@@ -8,8 +8,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from delaylab.cli import main
 
 
@@ -212,6 +210,27 @@ def test_simulate_stop_flags(capsys, tmp_path):
     fields = dict(p.split("=") for p in stop_line.split()[1:])
     assert abs(float(fields["zeta"]) - 0.4) <= 1e-9
 
+
+
+def test_simulate_rejects_non_attracting_entry(capsys, tmp_path):
+    # g(-1, z, 0) = -1 + 12 z turns positive below z0 = 0.1
+    rc, out, err = run(capsys, "simulate", "--f", "1", "--g", "x + 12*z",
+                       "--x0", "-1", "--z0", "0.1", "--eps", "0.05",
+                       "--stop-x", "0.5", "--out-dir", str(tmp_path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: FAIL g(x0, z, 0) < 0 on [0, z0]")
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_simulate_z_overflow_exits_1(capsys, tmp_path):
+    # past x = 1 the log chart reaches zeta/eps = -958: z = e^958
+    rc, _, err = run(capsys, "simulate", "--model", "linear", "--x0", "-1",
+                     "--z0", "0.1", "--eps", "5e-4", "--stop-x", "1.4",
+                     "--out-dir", str(tmp_path))
+    assert rc == 1
+    assert err.count("\n") == 1 and err.startswith("error: z = exp(")
+    assert "overflows" in err
+    assert not (tmp_path / "trajectory.csv").exists()
 
 def test_sweep_cli_outputs(capsys, tmp_path):
     rc, out, _ = run(capsys, "sweep", "--model", "linear", "--x0", "-1",

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from delaylab.entryexit import (slow_curves, solve_exit, tau_minus_at,
-                                tau_plus_at, zeta_minus_at, zeta_plus_at)
+from delaylab.entryexit import _inv_f, _slow_ratio, slow_curves, solve_exit
 from delaylab.errors import (DelayLabError, NoExitInWindowError,
                              PreconditionError)
 from delaylab.model import get_model, model_from_expressions
+from delaylab.numerics import integrate
 
 
 def bisect60(f, lo, hi):
@@ -63,18 +63,20 @@ def test_matching_identity_at_turning_point():
         for _ in range(10):
             x0 = float(rng.uniform(lo, hi))
             sol = solve_exit(m, x0)
-            zm = zeta_minus_at(m, x0, 0.0)
-            zp = zeta_plus_at(m, 0.0, sol.x1)
+            # inflow up to the turning point equals the outflow after it
+            zm = -integrate(_slow_ratio(m), x0, 0.0).value
+            zp = integrate(_slow_ratio(m), 0.0, sol.x1).value
             assert abs(zm - zp) <= 1e-10
-            tm = tau_minus_at(m, x0, 0.0)
-            tp = tau_plus_at(m, 0.0, sol.x1, sol.tau1)
+            # slow time to the turning point, forward and carried back
+            tm = integrate(_inv_f(m), x0, 0.0).value
+            tp = sol.tau1 - integrate(_inv_f(m), 0.0, sol.x1).value
             assert abs(tm - tp) <= 1e-10
 
 
 def test_slow_curves_shape_and_monotonicity():
     m = get_model("linear")
     sol = solve_exit(m, -1.0)
-    curves = slow_curves(m, -1.0, sol.x1, n=201, tau1=sol.tau1)
+    curves = slow_curves(m, -1.0, sol.x1, sol.tau1, n=201)
     mid = 100  # grid point at the turning point
     assert abs(curves.x[mid]) <= 1e-12
     assert abs(curves.zeta_minus[mid] - 0.5) <= 1e-10
@@ -92,7 +94,7 @@ def test_slow_curves_match_when_exit_is_true():
     for name, x0 in (("linear", -1.0), ("quadratic", -0.5)):
         m = get_model(name)
         sol = solve_exit(m, x0)
-        curves = slow_curves(m, x0, sol.x1, n=101, tau1=sol.tau1)
+        curves = slow_curves(m, x0, sol.x1, sol.tau1, n=101)
         assert np.max(np.abs(np.asarray(curves.zeta_minus)
                              - curves.zeta_plus)) <= 1e-9
         assert np.max(np.abs(np.asarray(curves.tau_minus)
@@ -136,8 +138,8 @@ def test_sign_violation_is_reported():
 def test_slow_curves_preconditions():
     m = get_model("linear")
     with pytest.raises(PreconditionError):
-        slow_curves(m, -1.0, 1.0, n=1)
+        slow_curves(m, -1.0, 1.0, 2.0, n=1)
     with pytest.raises(PreconditionError):
-        slow_curves(m, -1.0, 2.0)  # x1_hat beyond the window
+        slow_curves(m, -1.0, 2.0, 3.0)  # x1_hat beyond the window
     with pytest.raises(PreconditionError):
-        slow_curves(m, 0.5, 1.0)  # x0 not negative
+        slow_curves(m, 0.5, 1.0, 0.5)  # x0 not negative

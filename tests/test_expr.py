@@ -1,7 +1,5 @@
 """Expression parser and evaluator."""
 
-import math
-
 import numpy as np
 import pytest
 

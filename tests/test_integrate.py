@@ -12,7 +12,7 @@ from delaylab.errors import (IntegrationError, MaxStepsExceededError,
                              PreconditionError, StepSizeUnderflowError,
                              ZUnderflowError)
 from delaylab.integrate import (Controls, Section, Trajectory, integrate_xz,
-                                integrate_zeta, min_z_exponent, z_of_zeta)
+                                integrate_zeta, min_z_exponent)
 from delaylab.model import InitialData, Model, get_model, model_from_expressions
 from delaylab.output import write_trajectory_csv
 
@@ -40,9 +40,14 @@ def test_section_validation():
         Section("zeta", math.inf)
 
 
-def test_z_of_zeta_flushes_underflow():
-    assert z_of_zeta(0.5, 0.1) == pytest.approx(math.exp(-5.0))
-    assert z_of_zeta(0.5, 1e-4) == 0.0  # 0.5/1e-4 = 5000 > 745
+def test_trajectory_z_flushes_underflow_and_names_overflow():
+    z = make_traj([0.0, 1.0], [0.5, 0.5], eps=0.1).z()
+    assert z == pytest.approx([math.exp(-5.0)] * 2)
+    # 0.5/1e-4 = 5000 > 745
+    assert make_traj([0.0, 1.0], [0.5, 0.5], eps=1e-4).z() == [0.0, 0.0]
+    # -0.1/1e-4 = -1000: exp(1000) overflows
+    with pytest.raises(IntegrationError, match="overflows"):
+        make_traj([0.0, 1.0], [0.5, -0.1], eps=1e-4).z()
 
 
 def test_frozen_drift_keeps_x_constant():

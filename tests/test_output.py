@@ -7,7 +7,7 @@ import numpy as np
 
 from delaylab import output
 from delaylab.experiment import run_sweep
-from delaylab.integrate import Section, Trajectory
+from delaylab.integrate import Trajectory
 from delaylab.model import get_model
 
 
