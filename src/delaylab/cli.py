@@ -55,32 +55,24 @@ def _add_model_args(sp: argparse.ArgumentParser) -> None:
                     help="output directory (default: $DELAYLAB_OUT or '.')")
 
 
+# integrator controls on simulate and sweep: Controls field -> type
+_CONTROLS = {"rel_tol": float, "abs_tol": float, "max_steps": int,
+             "initial_step": float, "max_step": float, "sample_dt": float}
+
+
 def _add_controls_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--rel-tol", dest="rel_tol", type=float)
-    sp.add_argument("--abs-tol", dest="abs_tol", type=float)
-    sp.add_argument("--max-steps", dest="max_steps", type=int)
-    sp.add_argument("--initial-step", dest="initial_step", type=float)
-    sp.add_argument("--max-step", dest="max_step", type=float)
-    sp.add_argument("--sample-dt", dest="sample_dt", type=float)
+    for name, kind in _CONTROLS.items():
+        sp.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
 
 
-def build_parser() -> _Parser:
-    p = _Parser(prog="delaylab",
-                description="numerical laboratory for bifurcation delay in "
-                            "planar slow-fast systems")
-    p.add_argument("--version", action="version",
-                   version=f"delaylab {VERSION}")
-    sub = p.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("exit", help="solve the eps = 0 exit problem")
-    _add_model_args(sp)
+def _exit_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--x0", type=float, help="entry point (negative)")
     sp.add_argument("--curves-csv", dest="curves_csv", metavar="NAME",
                     help="also write the slow accumulation curves as CSV")
     sp.add_argument("--curves-n", dest="curves_n", type=int, default=512)
 
-    sp = sub.add_parser("simulate", help="integrate one trajectory")
-    _add_model_args(sp)
+
+def _simulate_args(sp: argparse.ArgumentParser) -> None:
     _add_controls_args(sp)
     sp.add_argument("--x0", type=float)
     sp.add_argument("--z0", type=float)
@@ -100,8 +92,8 @@ def build_parser() -> _Parser:
                     help="only accept crossings with x > 0")
     sp.add_argument("--traj-csv", dest="traj_csv", default="trajectory.csv")
 
-    sp = sub.add_parser("sweep", help="delayed-loss measurement over eps")
-    _add_model_args(sp)
+
+def _sweep_args(sp: argparse.ArgumentParser) -> None:
     _add_controls_args(sp)
     sp.add_argument("--x0", type=float)
     sp.add_argument("--z0", type=float)
@@ -111,8 +103,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--formats", default="csv,json",
                     help="comma subset of csv,json (default both)")
 
-    sp = sub.add_parser("geometry", help="emit cycle and manifold patches")
-    _add_model_args(sp)
+
+def _geometry_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--x0", type=float)
     sp.add_argument("--z0", type=float)
     sp.add_argument("--delta", type=float,
@@ -122,10 +114,25 @@ def build_parser() -> _Parser:
     sp.add_argument("--config-n", dest="config_n", type=int, default=513,
                     help="samples per cycle piece")
 
-    sp = sub.add_parser("check", help="verify sign hypotheses on a model")
-    _add_model_args(sp)
+
+def _check_args(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--grid-n", dest="grid_n", type=int, default=1024)
 
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser with the subparser that ``command`` names, or
+    with every subparser when it names none (help, usage errors)."""
+    p = _Parser(prog="delaylab",
+                description="numerical laboratory for bifurcation delay in "
+                            "planar slow-fast systems")
+    p.add_argument("--version", action="version",
+                   version=f"delaylab {VERSION}")
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_args, _) in _COMMANDS.items():
+        if command not in _COMMANDS or command == name:
+            sp = sub.add_parser(name, help=help_text)
+            _add_model_args(sp)
+            add_args(sp)
     return p
 
 
@@ -152,12 +159,6 @@ def _merged(args, cfg: dict, name: str, default=None):
     return cfg.get(name, default)
 
 
-def _require(value, flag: str):
-    if value is None:
-        raise UsageError(f"missing required option {flag}")
-    return value
-
-
 def _number(value, name: str, kind=float):
     """``kind(value)`` for a flag or ``--config`` value; a value that
     does not convert is a usage error."""
@@ -169,8 +170,10 @@ def _number(value, name: str, kind=float):
 
 def _float_arg(args, cfg: dict, name: str) -> float:
     """A required number from the flag ``--name`` or the config."""
-    flag = "--" + name.replace("_", "-")
-    return _number(_require(_merged(args, cfg, name), flag), name)
+    value = _merged(args, cfg, name)
+    if value is None:
+        raise UsageError(f"missing required option --{name.replace('_', '-')}")
+    return _number(value, name)
 
 
 def _resolve_model(args, cfg: dict) -> Model:
@@ -199,13 +202,9 @@ def _resolve_model(args, cfg: dict) -> Model:
 
 
 def _resolve_out_dir(args, cfg: dict) -> str:
-    out = getattr(args, "out_dir", None)
-    if out is None:
-        out = os.environ.get("DELAYLAB_OUT")
-    if out is None:
-        out = cfg.get("out_dir")
-    if out is None:
-        out = "."
+    # --out-dir, else $DELAYLAB_OUT, else the config's out_dir, else '.'
+    out = next(v for v in (args.out_dir, os.environ.get("DELAYLAB_OUT"),
+                           cfg.get("out_dir"), ".") if v is not None)
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -214,19 +213,22 @@ def _resolve_controls(args, cfg: dict):
     from .integrate import Controls
 
     kwargs = {}
-    for name in ("rel_tol", "abs_tol", "max_steps", "initial_step",
-                 "max_step", "sample_dt"):
+    for name, kind in _CONTROLS.items():
         value = _merged(args, cfg, name)
         if value is not None:
-            kwargs[name] = _number(value, name,
-                                   int if name == "max_steps" else float)
+            kwargs[name] = _number(value, name, kind)
     try:
         return Controls(**kwargs)
     except PreconditionError as exc:
         raise UsageError(str(exc)) from exc
 
 
-_DIRECTIONS = {"up": +1, "down": -1, "any": 0}
+def _attracting(m: Model, data: InitialData) -> InitialData:
+    """``data``, once ``validate_initial`` passes on it (exit 1 if not)."""
+    report = validate_initial(m, data)
+    if not report.passed:
+        raise PreconditionError(report.summary())
+    return data
 
 
 def _cmd_exit(args, cfg: dict) -> int:
@@ -274,7 +276,7 @@ def _cmd_simulate(args, cfg: dict) -> int:
                                  ("x", args.stop_x)) if s is not None]
     if len(stops) > 1:
         raise UsageError("give at most one of --stop-z/--stop-zeta/--stop-x")
-    direction = _DIRECTIONS[args.stop_direction]
+    direction = {"up": +1, "down": -1, "any": 0}[args.stop_direction]
     if stops:
         var, value = stops[0]
         stop = Section(var=var, value=float(value), direction=direction,
@@ -287,10 +289,7 @@ def _cmd_simulate(args, cfg: dict) -> int:
         stop = Section(var="z", value=z0, direction=+1,
                        require_x_positive=True)
 
-    data = InitialData(x0=x0, z0=z0, eps=eps)
-    report = validate_initial(m, data)
-    if not report.passed:
-        raise PreconditionError(report.summary())
+    data = _attracting(m, InitialData(x0=x0, z0=z0, eps=eps))
     integrator = integrate_zeta if chart == "zeta" else integrate_xz
     traj = integrator(m, data, stop, controls)
 
@@ -342,24 +341,23 @@ def _cmd_sweep(args, cfg: dict) -> int:
     if unknown or not formats:
         raise UsageError("--formats must be a comma subset of csv,json")
 
+    _attracting(m, InitialData(x0=x0, z0=z0, eps=0.0))
     report = run_sweep(m, x0, z0, eps_list, controls=controls,
                        probe_step=args.probe_step)
 
+    fmt = output.fmt
     for r in report.records:
-        print(f"eps={output.fmt(r.eps)}: minz_exponent="
-              f"{output.fmt(r.minz_exponent)} exit_x={output.fmt(r.exit_x)} "
-              f"tau_exit={output.fmt(r.tau_exit)} "
-              f"hausdorff={output.fmt(r.hausdorff)} "
-              f"d_exit_dx0={output.fmt(r.d_exit_dx0)}")
+        print(f"eps={fmt(r.eps)}: minz_exponent={fmt(r.minz_exponent)} "
+              f"exit_x={fmt(r.exit_x)} tau_exit={fmt(r.tau_exit)} "
+              f"hausdorff={fmt(r.hausdorff)} d_exit_dx0={fmt(r.d_exit_dx0)}")
     for f in report.failures:
-        print(f"eps={output.fmt(f.eps)}: FAILED ({f.error})")
+        print(f"eps={fmt(f.eps)}: FAILED ({f.error})")
     for name, rate in report.rates.items():
-        print(f"rate[{name}] = {output.fmt(rate)}")
+        print(f"rate[{name}] = {fmt(rate)}")
     if report.richardson_minz is not None:
-        print(f"richardson_minz = {output.fmt(report.richardson_minz)}")
+        print(f"richardson_minz = {fmt(report.richardson_minz)}")
 
-    params = {"x0": x0, "z0": z0,
-              "eps": ",".join(output.fmt(e) for e in eps_list)}
+    params = {"x0": x0, "z0": z0, "eps": ",".join(map(fmt, eps_list))}
     meta = output.make_meta("sweep", m, params)
     if "json" in formats:
         jpath = os.path.join(out_dir, "sweep.json")
@@ -382,6 +380,7 @@ def _cmd_geometry(args, cfg: dict) -> int:
     out_dir = _resolve_out_dir(args, cfg)
     x0 = _float_arg(args, cfg, "x0")
     z0 = _float_arg(args, cfg, "z0")
+    _attracting(m, InitialData(x0=x0, z0=z0, eps=0.0))
     sol = solve_exit(m, x0)
     delta = _merged(args, cfg, "delta")
     if delta is None:
@@ -392,10 +391,8 @@ def _cmd_geometry(args, cfg: dict) -> int:
     left, right = build_manifolds(m, x0, sol.x1, delta, n=args.n,
                                   n2=args.n2)
 
-    n_det = 101
-    dets = [transversality_det(m, x0 + i * (sol.x1 - x0) / (n_det - 1),
-                               sol.x1)
-            for i in range(n_det)]
+    dets = [transversality_det(m, x0 + i * (sol.x1 - x0) / 100, sol.x1)
+            for i in range(101)]
     print(f"x1 = {output.fmt(sol.x1)}")
     print(f"tau1 = {output.fmt(sol.tau1)}")
     print(f"delta = {output.fmt(delta)}")
@@ -405,18 +402,13 @@ def _cmd_geometry(args, cfg: dict) -> int:
 
     params = {"x0": x0, "z0": z0, "delta": delta}
     header = [output.header_line("geometry", m, params)]
-    writes = (
-        ("gamma0.csv", lambda p: output.write_gamma0_csv(p, config, header)),
-        ("configuration.csv",
-         lambda p: output.write_configuration_csv(p, config, header)),
-        ("manifold_left.csv",
-         lambda p: output.write_manifold_csv(p, left, header)),
-        ("manifold_right.csv",
-         lambda p: output.write_manifold_csv(p, right, header)),
-    )
-    for name, writer in writes:
+    for name, writer, data in (
+            ("gamma0.csv", output.write_gamma0_csv, config),
+            ("configuration.csv", output.write_configuration_csv, config),
+            ("manifold_left.csv", output.write_manifold_csv, left),
+            ("manifold_right.csv", output.write_manifold_csv, right)):
         path = os.path.join(out_dir, name)
-        writer(path)
+        writer(path, data, header)
         print(f"wrote {path}")
     return 0
 
@@ -430,20 +422,23 @@ def _cmd_check(args, cfg: dict) -> int:
 
 
 _COMMANDS = {
-    "exit": _cmd_exit,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "geometry": _cmd_geometry,
-    "check": _cmd_check,
+    "exit": ("solve the eps = 0 exit problem", _exit_args, _cmd_exit),
+    "simulate": ("integrate one trajectory", _simulate_args, _cmd_simulate),
+    "sweep": ("delayed-loss measurement over eps", _sweep_args, _cmd_sweep),
+    "geometry": ("emit cycle and manifold patches", _geometry_args,
+                 _cmd_geometry),
+    "check": ("verify sign hypotheses on a model", _check_args, _cmd_check),
 }
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(getattr(args, "config", None))
-        return _COMMANDS[args.command](args, cfg)
+        return _COMMANDS[args.command][2](args, cfg)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

@@ -26,29 +26,35 @@ def fmt(v: float) -> str:
     return f"{float(v):.17g}"
 
 
-def _cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, int) and not isinstance(v, bool):
-        return str(int(v))
-    return fmt(v)
+# Row templates, one per writer: "%.17g" is fmt()'s form, applied to a
+# whole row at once.  "%.0s" consumes a cell and prints nothing.
+_G3, _G5, _G6 = (",".join(["%.17g"] * n) + "\n" for n in (3, 5, 6))
+_PIECE = "%s,%.17g,%.17g,%.17g,%.17g\n"
+_TRAJ = "%.17g,%.17g,%.17g,%.17g,%.17g,%d\n"
+_TRAJ_BLANK_Z = "%.17g,%.17g,%.17g,%.0s,%.17g,%d\n"
+
+
+def _param(v) -> str:
+    """A header param: str as it is, int in decimal, anything else by fmt."""
+    return v if isinstance(v, str) else str(v) if type(v) is int else fmt(v)
 
 
 def header_line(command: str, m: Model, params: dict) -> str:
     """The one-line run-metadata comment put at the top of CSV files."""
     parts = [f"delaylab {VERSION}", command, f"model={m.name}"]
-    parts += [f"{k}={_cell(v)}" for k, v in params.items()]
+    parts += [f"{k}={_param(v)}" for k, v in params.items()]
     return "# " + " | ".join(parts)
 
 
-def write_csv(path: str, names: Sequence[str], rows: Iterable[Sequence],
+def write_csv(path: str, names: Sequence[str], rows: Iterable[str],
               header_lines: Sequence[str] = ()) -> None:
+    """Write ``header_lines``, the column names and ``rows``: the data
+    lines, each formatted by its writer's row template, LF-terminated."""
     with open(path, "w", newline="\n") as fh:
         for line in header_lines:
             fh.write(line + "\n")
         fh.write(",".join(names) + "\n")
-        for row in rows:
-            fh.write(",".join(_cell(v) for v in row) + "\n")
+        fh.writelines(rows)
 
 
 def write_json(path: str, obj: dict) -> None:
@@ -93,7 +99,7 @@ def write_curves_csv(path: str, curves: SlowCurves,
     names = ("x", "zeta_minus", "tau_minus", "zeta_plus", "tau_plus")
     rows = zip(curves.x, curves.zeta_minus, curves.tau_minus,
                curves.zeta_plus, curves.tau_plus)
-    write_csv(path, names, rows, header_lines)
+    write_csv(path, names, map(_G5.__mod__, rows), header_lines)
 
 
 def write_trajectory_csv(path: str, traj: Trajectory,
@@ -106,13 +112,13 @@ def write_trajectory_csv(path: str, traj: Trajectory,
     limit eps = 0.  ``event`` is 1 on the last row, the located stop.
     """
     names = ("t", "tau", "x", "z", "zeta", "event")
-    blank_flushed = traj.chart == "zeta"
-    last = len(traj.t) - 1
-    rows = ((t, tau, x, "" if blank_flushed and z == 0.0 else z, zeta,
-             int(i == last))
-            for i, (t, tau, x, z, zeta) in enumerate(zip(
-                traj.t, traj.tau, traj.x, traj.z(), traj.zeta())))
-    write_csv(path, names, rows, header_lines)
+    events = [0] * (len(traj.t) - 1) + [1]
+    rows = zip(traj.t, traj.tau, traj.x, traj.z(), traj.zeta(), events)
+    if traj.chart == "zeta":
+        lines = ((_TRAJ_BLANK_Z if r[3] == 0.0 else _TRAJ) % r for r in rows)
+    else:
+        lines = map(_TRAJ.__mod__, rows)
+    write_csv(path, names, lines, header_lines)
 
 
 def sweep_report_to_dict(report: SweepReport, meta: dict) -> dict:
@@ -152,34 +158,31 @@ def write_sweep_csv(path: str, report: SweepReport,
                     header_lines: Sequence[str] = ()) -> None:
     names = ("eps", "minz_exponent", "exit_x", "tau_exit", "hausdorff",
              "d_exit_dx0")
-    rows = ((r.eps, r.minz_exponent, r.exit_x, r.tau_exit, r.hausdorff,
-             r.d_exit_dx0) for r in report.records)
+    rows = (_G6 % (r.eps, r.minz_exponent, r.exit_x, r.tau_exit,
+                   r.hausdorff, r.d_exit_dx0) for r in report.records)
     write_csv(path, names, rows, header_lines)
 
 
 def write_configuration_csv(path: str, config: SingularConfiguration,
                             header_lines: Sequence[str] = ()) -> None:
     names = ("piece", "x", "z", "zeta", "tau")
-
-    def rows():
-        for label, piece in zip(("gamma1", "gamma0", "gamma2"),
-                                config.pieces()):
-            for row in piece:
-                yield (label, row[0], row[1], row[2], row[3])
-
-    write_csv(path, names, rows(), header_lines)
+    rows = (_PIECE % (label, *row)
+            for label, piece in zip(("gamma1", "gamma0", "gamma2"),
+                                    config.pieces())
+            for row in piece)
+    write_csv(path, names, rows, header_lines)
 
 
 def write_gamma0_csv(path: str, config: SingularConfiguration,
                      header_lines: Sequence[str] = ()) -> None:
     names = ("x", "zeta", "tau")
-    rows = ((r[0], r[2], r[3]) for r in config.gamma0)
+    rows = (_G3 % (r[0], r[2], r[3]) for r in config.gamma0)
     write_csv(path, names, rows, header_lines)
 
 
 def write_manifold_csv(path: str, patch: ManifoldPatch,
                        header_lines: Sequence[str] = ()) -> None:
     names = ("param1", "param2", "x", "zeta", "tau")
-    rows = ((p1, p2, *pt) for p1, row in zip(patch.param1, patch.points)
+    rows = (_G5 % (p1, p2, *pt) for p1, row in zip(patch.param1, patch.points)
             for p2, pt in zip(patch.param2, row))
     write_csv(path, names, rows, header_lines)

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from delaylab.cli import main
+from delaylab.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -220,6 +220,34 @@ def test_simulate_rejects_non_attracting_entry(capsys, tmp_path):
     assert rc == 1 and out == ""
     assert err.startswith("error: FAIL g(x0, z, 0) < 0 on [0, z0]")
     assert not (tmp_path / "trajectory.csv").exists()
+
+
+def test_sweep_and_geometry_reject_non_attracting_entry(capsys, tmp_path):
+    # the entry check of simulate, before any file is written
+    for command, extra in (("sweep", ("--eps", "0.1,0.05")),
+                           ("geometry", ())):
+        rc, out, err = run(capsys, command, "--f", "1", "--g", "x + 12*z",
+                           "--x0", "-1", "--z0", "0.1", *extra,
+                           "--out-dir", str(tmp_path))
+        assert rc == 1 and out == "", command
+        assert err.startswith("error: FAIL g(x0, z, 0) < 0 on [0, z0]: ")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_parser_builds_only_the_named_subparser(capsys, monkeypatch):
+    every = "{exit,simulate,sweep,geometry,check}"
+    assert every in build_parser().format_usage()
+    assert every in build_parser("bogus").format_usage()
+    assert "{sweep}" in build_parser("sweep").format_usage()
+    # main() without argv reads sys.argv[1:]
+    monkeypatch.setattr(sys, "argv", ["delaylab", "check", "--model",
+                                      "linear"])
+    assert main() == 0
+    assert "PASS" in capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["delaylab", "bogus"])
+    assert main() == 64
+    assert "choose from 'exit', 'simulate'" in capsys.readouterr().err
 
 
 def test_simulate_z_overflow_exits_1(capsys, tmp_path):

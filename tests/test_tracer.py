@@ -52,3 +52,14 @@ def test_tracer_hooks_every_name_and_reports_finite_metrics(tmp_path):
     # Trajectory field it uses (t, n_steps, n_rejected, evaluations)
     for name in ("integrate.steps", "integrate.evals", "integrate.samples"):
         assert metrics[name][0] > 0, name
+    # output.rows counts the rows argument of output.write_csv, and
+    # output.bytes the files it and write_json leave behind
+    data_rows = sum(
+        sum(not line.startswith("#") for line in
+            (tmp_path / name).read_text().splitlines()) - 1
+        for name in ("trajectory.csv", "sweep.csv"))
+    assert data_rows > 2
+    assert 2 * metrics["output.rows"][0] == data_rows
+    written = sum(p.stat().st_size for p in tmp_path.iterdir())
+    assert 2 * metrics["output.bytes"][0] == written
+    assert 2 * metrics["output.files"][0] == 3

@@ -1,10 +1,13 @@
 """Byte-for-byte comparison of two delaylab source trees on fixed commands.
 
-Runs every command in ``COMMANDS`` as ``python -m delaylab`` once
-against each ``--src`` tree (the directory that holds the ``delaylab``
-package), each run in its own temporary out-dir.  The out-dir path is
-masked in stdout, stderr and the written files; then stdout, stderr,
-the exit code and every written file are compared.  One line per
+Runs every command in ``COMMANDS`` and ``USAGE`` as
+``python -m delaylab`` once against each ``--src`` tree (the directory
+that holds the ``delaylab`` package), each run in its own temporary
+directory, which ``COMMANDS`` also get as ``--out-dir``.  Every run
+sees ``COLUMNS=80``, so that help text wraps the same on any terminal.
+The directory path is masked in stdout, stderr and the written files;
+then stdout, stderr, the exit code and every written file are
+compared.  One line per
 command says SAME or DIFF, naming the parts that differ; the exit
 status is 1 on any DIFF.
 
@@ -46,16 +49,30 @@ COMMANDS = (
      "--eps", "0.05"),
     ("check", "--model", "linear"),
 )
+# Help, version and usage errors, run without --out-dir.
+USAGE = (
+    ("--help",),
+    *((name, "--help")
+      for name in ("exit", "simulate", "sweep", "geometry", "check")),
+    ("--version",),
+    (),
+    ("bogus",),
+    ("--model", "linear", "check"),
+    ("simulate", "--chart", "bogus"),
+)
 MASK = b"<OUT>"
 
 
-def _run(src: Path, argv: tuple[str, ...]) -> dict[str, bytes]:
+def _run(src: Path, argv: tuple[str, ...],
+         out_dir: bool) -> dict[str, bytes]:
     """stdout, stderr, exit code and written files of one run, masked."""
     env = {k: v for k, v in os.environ.items() if k != "DELAYLAB_OUT"}
     env["PYTHONPATH"] = str(src)
+    env["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as out:
         done = subprocess.run(
-            [sys.executable, "-m", "delaylab", *argv, "--out-dir", out],
+            [sys.executable, "-m", "delaylab", *argv,
+             *(("--out-dir", out) if out_dir else ())],
             cwd=out, env=env, capture_output=True, timeout=300)
         parts = {"stdout": done.stdout, "stderr": done.stderr,
                  "exit code": str(done.returncode).encode()}
@@ -75,10 +92,11 @@ def main(argv=None) -> int:
         p.error("give --src exactly twice")
     a, b = (Path(s).resolve() for s in args.src)
     any_diff = False
-    for command in COMMANDS:
-        ra, rb = _run(a, command), _run(b, command)
+    runs = [(c, True) for c in COMMANDS] + [(c, False) for c in USAGE]
+    for command, out_dir in runs:
+        ra, rb = _run(a, command, out_dir), _run(b, command, out_dir)
         differ = [k for k in sorted(set(ra) | set(rb)) if ra.get(k) != rb.get(k)]
-        label = shlex.join(command)
+        label = shlex.join(command) or "(no arguments)"
         if differ:
             any_diff = True
             print(f"DIFF  {label}: {', '.join(differ)}")
