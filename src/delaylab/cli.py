@@ -30,7 +30,6 @@ from . import output
 
 # The numerical modules are imported by the commands that use them, so
 # a process loads only what its command needs.
-_DEFAULT_WINDOW = (-1.5, 1.5)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,85 +37,104 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_model_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--model", help="builtin model name "
-                    f"({', '.join(builtin_names())})")
-    sp.add_argument("--f", dest="f_expr", metavar="EXPR",
-                    help="drift expression in x, z, eps (custom model)")
-    sp.add_argument("--g", dest="g_expr", metavar="EXPR",
-                    help="loss-rate expression in x, z, eps (custom model)")
-    sp.add_argument("--window", nargs=2, type=float, metavar=("LO", "HI"),
-                    help="validity window for a custom model")
-    sp.add_argument("--z-cap", dest="z_cap", type=float,
-                    help="largest admissible z0 (custom model, default 1)")
-    sp.add_argument("--config", metavar="PATH",
-                    help="JSON file with defaults; flags win")
-    sp.add_argument("--out-dir", dest="out_dir", metavar="DIR",
-                    help="output directory (default: $DELAYLAB_OUT or '.')")
+_ALL = "exit simulate sweep geometry check"
+_REQUIRED = object()  # default of an option that has none
 
 
-# integrator controls on simulate and sweep: Controls field -> type
-_CONTROLS = {"rel_tol": float, "abs_tol": float, "max_steps": int,
-             "initial_step": float, "max_step": float, "sample_dt": float}
+class _Opt:
+    """The flag ``--dest`` (``_`` as ``-``) and config key ``dest`` on each
+    of the space-separated ``commands``; ``type`` converts the value (bool:
+    a switch), and ``kw`` holds further add_argument keywords."""
+
+    def __init__(self, dest, commands, type=str, default=None, help=None,
+                 kw=None):
+        self.dest, self.commands, self.type = dest, commands, type
+        self.default, self.help, self.kw = default, help, kw or {}
 
 
-def _add_controls_args(sp: argparse.ArgumentParser) -> None:
-    for name, kind in _CONTROLS.items():
-        sp.add_argument("--" + name.replace("_", "-"), dest=name, type=kind)
+def _eps_list(raw) -> list[float]:
+    """The sweep's eps values, largest first, from a comma-separated
+    string or a config list."""
+    parts = raw if isinstance(raw, (list, tuple)) else [
+        p for p in str(raw).split(",") if p.strip()]
+    if not parts:
+        raise UsageError("--eps list is empty")
+    return sorted({_scalar(float, v, "eps") for v in parts}, reverse=True)
 
 
-def _exit_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--x0", type=float, help="entry point (negative)")
-    sp.add_argument("--curves-csv", dest="curves_csv", metavar="NAME",
-                    help="also write the slow accumulation curves as CSV")
-    sp.add_argument("--curves-n", dest="curves_n", type=int, default=512)
+# Per command, the options in the order of its --help.
+_OPTIONS = (
+    _Opt("model", _ALL, help="builtin model name "
+         f"({', '.join(builtin_names())})"),
+    _Opt("f", _ALL, help="drift expression in x, z, eps (custom model)",
+         kw=dict(metavar="EXPR")),
+    _Opt("g", _ALL, help="loss-rate expression in x, z, eps (custom model)",
+         kw=dict(metavar="EXPR")),
+    _Opt("window", _ALL, float, (-1.5, 1.5), "validity window for a "
+         "custom model", dict(nargs=2, metavar=("LO", "HI"))),
+    _Opt("z_cap", _ALL, float, 1.0,
+         "largest admissible z0 (custom model, default 1)"),
+    _Opt("config", _ALL, help="JSON file with defaults; flags win",
+         kw=dict(metavar="PATH")),
+    _Opt("out_dir", _ALL, str, ".", "output directory (default: "
+         "$DELAYLAB_OUT or '.')", dict(metavar="DIR")),
+    _Opt("x0", "exit", float, _REQUIRED, "entry point (negative)"),
+    _Opt("curves_csv", "exit", help="also write the slow accumulation "
+         "curves as CSV", kw=dict(metavar="NAME")),
+    _Opt("curves_n", "exit", int, 512),
+    # the integrator controls: the fields of integrate.Controls
+    *(_Opt(name, "simulate sweep", kind) for name, kind in (
+        ("rel_tol", float), ("abs_tol", float), ("max_steps", int),
+        ("initial_step", float), ("max_step", float), ("sample_dt", float))),
+    _Opt("x0", "simulate sweep geometry", float, _REQUIRED),
+    _Opt("z0", "simulate sweep geometry", float, _REQUIRED),
+    _Opt("eps", "simulate", float, _REQUIRED),
+    _Opt("eps", "sweep", _eps_list, _REQUIRED,
+         "comma-separated eps list, e.g. 0.2,0.1"),
+    _Opt("chart", "simulate", help="integration chart (default: zeta when "
+         "eps > 0)", kw=dict(choices=("zeta", "xz"))),
+    _Opt("stop_z", "simulate", float, help="stop on z crossing this value"),
+    _Opt("stop_zeta", "simulate", float,
+         help="stop on zeta crossing this value (eps > 0)"),
+    _Opt("stop_x", "simulate", float, help="stop on x crossing this value"),
+    _Opt("stop_direction", "simulate", str, "any",
+         kw=dict(choices=("up", "down", "any"))),
+    _Opt("stop_x_positive", "simulate", bool, False,
+         "only accept crossings with x > 0"),
+    _Opt("traj_csv", "simulate", str, "trajectory.csv"),
+    _Opt("probe_step", "sweep", float,
+         help="finite-difference step for d(exit)/d(entry)"),
+    _Opt("formats", "sweep", str, "csv,json",
+         "comma subset of csv,json (default both)"),
+    _Opt("delta", "geometry", float,
+         help="patch margin (default min(|x0|, x1)/8)"),
+    _Opt("n", "geometry", int, 65),
+    _Opt("n2", "geometry", int),
+    _Opt("config_n", "geometry", int, 513, "samples per cycle piece"),
+    _Opt("grid_n", "check", int, 1024),
+)
 
 
-def _simulate_args(sp: argparse.ArgumentParser) -> None:
-    _add_controls_args(sp)
-    sp.add_argument("--x0", type=float)
-    sp.add_argument("--z0", type=float)
-    sp.add_argument("--eps", type=float)
-    sp.add_argument("--chart", choices=("zeta", "xz"),
-                    help="integration chart (default: zeta when eps > 0)")
-    sp.add_argument("--stop-z", dest="stop_z", type=float,
-                    help="stop on z crossing this value")
-    sp.add_argument("--stop-zeta", dest="stop_zeta", type=float,
-                    help="stop on zeta crossing this value (eps > 0)")
-    sp.add_argument("--stop-x", dest="stop_x", type=float,
-                    help="stop on x crossing this value")
-    sp.add_argument("--stop-direction", dest="stop_direction",
-                    choices=("up", "down", "any"), default="any")
-    sp.add_argument("--stop-x-positive", dest="stop_x_positive",
-                    action="store_true",
-                    help="only accept crossings with x > 0")
-    sp.add_argument("--traj-csv", dest="traj_csv", default="trajectory.csv")
+def _arguments() -> dict[str, list[tuple[_Opt, str, dict]]]:
+    """Per command, its options with their add_argument flag and
+    keywords; each defaults to None, so that a flag not given shows."""
+    table = {name: [] for name in _ALL.split()}
+    for o in _OPTIONS:
+        kw = dict(dest=o.dest, help=o.help, **o.kw,
+                  **({"action": "store_true", "default": None}
+                     if o.type is bool else
+                     {"type": o.type} if o.type in (float, int) else {}))
+        for name in o.commands.split():
+            table[name].append((o, "--" + o.dest.replace("_", "-"), kw))
+    return table
 
 
-def _sweep_args(sp: argparse.ArgumentParser) -> None:
-    _add_controls_args(sp)
-    sp.add_argument("--x0", type=float)
-    sp.add_argument("--z0", type=float)
-    sp.add_argument("--eps", help="comma-separated eps list, e.g. 0.2,0.1")
-    sp.add_argument("--probe-step", dest="probe_step", type=float,
-                    help="finite-difference step for d(exit)/d(entry)")
-    sp.add_argument("--formats", default="csv,json",
-                    help="comma subset of csv,json (default both)")
-
-
-def _geometry_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--x0", type=float)
-    sp.add_argument("--z0", type=float)
-    sp.add_argument("--delta", type=float,
-                    help="patch margin (default min(|x0|, x1)/8)")
-    sp.add_argument("--n", type=int, default=65)
-    sp.add_argument("--n2", type=int)
-    sp.add_argument("--config-n", dest="config_n", type=int, default=513,
-                    help="samples per cycle piece")
-
-
-def _check_args(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--grid-n", dest="grid_n", type=int, default=1024)
+_ARGUMENTS = _arguments()
+# config keys: every option but --config itself; two older names of f, g
+_KEYS = {o.dest for o in _OPTIONS} - {"config"}
+_ALIASES = {"f_expr": "f", "g_expr": "g"}
+_KINDS = {float: "a number", int: "an integer", str: "a string",
+          bool: "true or false", _eps_list: "a list of numbers"}
 
 
 def build_parser(command: str | None = None) -> _Parser:
@@ -128,11 +146,11 @@ def build_parser(command: str | None = None) -> _Parser:
     p.add_argument("--version", action="version",
                    version=f"delaylab {VERSION}")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_args, _) in _COMMANDS.items():
+    for name, (help_text, _) in _COMMANDS.items():
         if command not in _COMMANDS or command == name:
             sp = sub.add_parser(name, help=help_text)
-            _add_model_args(sp)
-            add_args(sp)
+            for _, flag, kw in _ARGUMENTS[name]:
+                sp.add_argument(flag, **kw)
     return p
 
 
@@ -148,77 +166,89 @@ def _load_config(path: str | None) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise UsageError(f"config {path} must hold a JSON object")
+    cfg = {_ALIASES.get(k, k): v for k, v in cfg.items()}
+    unknown = sorted(cfg.keys() - _KEYS)
+    if unknown:
+        raise UsageError(f"unknown key(s) in config {path}: "
+                         + ", ".join(unknown))
     return cfg
 
 
-def _merged(args, cfg: dict, name: str, default=None):
-    """Flag value if given, else config value, else default."""
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    return cfg.get(name, default)
+def _scalar(kind, value, name: str):
+    """``value`` as ``kind``, from argv or a config: a number never from a
+    JSON boolean, an int never from a fraction, a switch only from one."""
+    if kind is bool or kind is str:
+        ok = isinstance(value, kind)
+    else:
+        ok = not isinstance(value, bool) and not (
+            kind is int and isinstance(value, float)
+            and not value.is_integer())
+    if ok:
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise UsageError(f"{name} must be {_KINDS[kind]}, got {value!r}")
 
 
-def _number(value, name: str, kind=float):
-    """``kind(value)`` for a flag or ``--config`` value; a value that
-    does not convert is a usage error."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise UsageError(f"{name} must be a number, got {value!r}") from None
+def _resolve(args, cfg: dict) -> argparse.Namespace:
+    """Every option of ``args.command``: its flag if given (for ``out_dir``
+    then ``$DELAYLAB_OUT``), else its config key, else its default;
+    a given value is converted once, by ``_scalar``."""
+    if args.out_dir is None:
+        args.out_dir = os.environ.get("DELAYLAB_OUT")
+    opts = argparse.Namespace()
+    for o, flag, _ in _ARGUMENTS[args.command]:
+        value = getattr(args, o.dest)
+        if value is None:
+            value = cfg.get(o.dest)
+        if value is None:
+            if o.default is _REQUIRED:
+                raise UsageError(f"missing required option {flag}")
+            value = o.default
+        elif o.kw.get("nargs") == 2:
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise UsageError(
+                    f"{o.dest} must be two numbers LO HI, got {value!r}")
+            value = tuple(_scalar(o.type, v, o.dest) for v in value)
+        else:
+            value = _scalar(o.type, value, o.dest)
+            choices = o.kw.get("choices", (value,))
+            if value not in choices:
+                raise UsageError(f"{o.dest} must be one of "
+                                 f"{', '.join(choices)}, got {value!r}")
+        setattr(opts, o.dest, value)
+    return opts
 
 
-def _float_arg(args, cfg: dict, name: str) -> float:
-    """A required number from the flag ``--name`` or the config."""
-    value = _merged(args, cfg, name)
-    if value is None:
-        raise UsageError(f"missing required option --{name.replace('_', '-')}")
-    return _number(value, name)
-
-
-def _resolve_model(args, cfg: dict) -> Model:
-    name = _merged(args, cfg, "model")
-    f_expr = _merged(args, cfg, "f_expr", cfg.get("f"))
-    g_expr = _merged(args, cfg, "g_expr", cfg.get("g"))
-    if name is not None and (f_expr is not None or g_expr is not None):
+def _resolve_model(opts) -> Model:
+    if opts.model is not None and (opts.f is not None or opts.g is not None):
         raise UsageError("give either --model or --f/--g, not both")
-    if name is not None:
-        return get_model(name)
-    if f_expr is None and g_expr is None:
+    if opts.model is not None:
+        return get_model(opts.model)
+    if opts.f is None and opts.g is None:
         raise UsageError("no model: give --model NAME or --f EXPR --g EXPR")
-    if f_expr is None or g_expr is None:
+    if opts.f is None or opts.g is None:
         raise UsageError("a custom model needs both --f and --g")
-    window = _merged(args, cfg, "window", _DEFAULT_WINDOW)
-    if not isinstance(window, (list, tuple)) or len(window) != 2:
-        raise UsageError(f"window must be two numbers LO HI, got {window!r}")
-    window = (_number(window[0], "window"), _number(window[1], "window"))
-    z_cap = _number(_merged(args, cfg, "z_cap", 1.0), "z_cap")
     try:
-        return model_from_expressions("custom", f_expr, g_expr, window,
-                                      z_cap=z_cap)
+        return model_from_expressions("custom", opts.f, opts.g, opts.window,
+                                      z_cap=opts.z_cap)
     except ExpressionError as exc:
         # a malformed expression on the command line is a usage problem
         raise UsageError(str(exc)) from exc
 
 
-def _resolve_out_dir(args, cfg: dict) -> str:
-    # --out-dir, else $DELAYLAB_OUT, else the config's out_dir, else '.'
-    out = next(v for v in (args.out_dir, os.environ.get("DELAYLAB_OUT"),
-                           cfg.get("out_dir"), ".") if v is not None)
-    os.makedirs(out, exist_ok=True)
-    return out
+def _resolve_out_dir(opts) -> str:
+    os.makedirs(opts.out_dir, exist_ok=True)
+    return opts.out_dir
 
 
-def _resolve_controls(args, cfg: dict):
+def _resolve_controls(opts):
     from .integrate import Controls
 
-    kwargs = {}
-    for name, kind in _CONTROLS.items():
-        value = _merged(args, cfg, name)
-        if value is not None:
-            kwargs[name] = _number(value, name, kind)
+    values = {k: getattr(opts, k) for k in Controls.__dataclass_fields__}
     try:
-        return Controls(**kwargs)
+        return Controls(**{k: v for k, v in values.items() if v is not None})
     except PreconditionError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -231,56 +261,49 @@ def _attracting(m: Model, data: InitialData) -> InitialData:
     return data
 
 
-def _cmd_exit(args, cfg: dict) -> int:
+def _cmd_exit(opts) -> int:
     from .entryexit import slow_curves, solve_exit
 
-    m = _resolve_model(args, cfg)
-    out_dir = _resolve_out_dir(args, cfg)
-    x0 = _float_arg(args, cfg, "x0")
-    sol = solve_exit(m, x0)
+    m = _resolve_model(opts)
+    out_dir = _resolve_out_dir(opts)
+    sol = solve_exit(m, opts.x0)
     for name in ("x1", "zeta0", "tau1", "dx1_dx0", "residual"):
         print(f"{name} = {output.fmt(getattr(sol, name))}")
-    meta = output.make_meta("exit", m, {"x0": x0})
+    meta = output.make_meta("exit", m, {"x0": opts.x0})
     path = os.path.join(out_dir, "exit.json")
     output.write_json(path, output.exit_solution_to_dict(sol, meta))
     print(f"wrote {path}")
-    if args.curves_csv is not None:
-        curves = slow_curves(m, x0, sol.x1, sol.tau1, n=args.curves_n)
-        cpath = os.path.join(out_dir, args.curves_csv)
-        header = output.header_line("exit", m, {"x0": x0, "x1": sol.x1})
+    if opts.curves_csv is not None:
+        curves = slow_curves(m, opts.x0, sol.x1, sol.tau1, n=opts.curves_n)
+        cpath = os.path.join(out_dir, opts.curves_csv)
+        header = output.header_line("exit", m, {"x0": opts.x0, "x1": sol.x1})
         output.write_curves_csv(cpath, curves, [header])
         print(f"wrote {cpath}")
     return 0
 
 
-def _cmd_simulate(args, cfg: dict) -> int:
+def _cmd_simulate(opts) -> int:
     from .integrate import Section, integrate_xz, integrate_zeta
 
-    m = _resolve_model(args, cfg)
-    out_dir = _resolve_out_dir(args, cfg)
-    controls = _resolve_controls(args, cfg)
-    x0 = _float_arg(args, cfg, "x0")
-    z0 = _float_arg(args, cfg, "z0")
-    eps = _float_arg(args, cfg, "eps")
+    m = _resolve_model(opts)
+    out_dir = _resolve_out_dir(opts)
+    controls = _resolve_controls(opts)
+    x0, z0, eps = opts.x0, opts.z0, opts.eps
 
-    chart = _merged(args, cfg, "chart")
-    if chart is None:
-        chart = "zeta" if eps > 0.0 else "xz"
-    if chart not in ("zeta", "xz"):
-        raise UsageError(f"chart must be zeta or xz, got {chart!r}")
+    chart = opts.chart or ("zeta" if eps > 0.0 else "xz")
     if chart == "zeta" and eps == 0.0:
         raise UsageError("the zeta chart needs eps > 0; use --chart xz")
 
-    stops = [(v, s) for v, s in (("z", args.stop_z),
-                                 ("zeta", args.stop_zeta),
-                                 ("x", args.stop_x)) if s is not None]
+    stops = [(v, s) for v, s in (("z", opts.stop_z),
+                                 ("zeta", opts.stop_zeta),
+                                 ("x", opts.stop_x)) if s is not None]
     if len(stops) > 1:
         raise UsageError("give at most one of --stop-z/--stop-zeta/--stop-x")
-    direction = {"up": +1, "down": -1, "any": 0}[args.stop_direction]
+    direction = {"up": +1, "down": -1, "any": 0}[opts.stop_direction]
     if stops:
         var, value = stops[0]
-        stop = Section(var=var, value=float(value), direction=direction,
-                       require_x_positive=args.stop_x_positive)
+        stop = Section(var=var, value=value, direction=direction,
+                       require_x_positive=opts.stop_x_positive)
     elif eps == 0.0:
         # the return section z=z0 never fires with x frozen; default to
         # three decades of fast decay instead
@@ -303,47 +326,27 @@ def _cmd_simulate(args, cfg: dict) -> int:
         "x0": x0, "z0": z0, "eps": eps, "chart": chart,
         "stop": f"{stop.var}:{output.fmt(stop.value)}:{stop.direction:+d}",
     })
-    path = os.path.join(out_dir, args.traj_csv)
+    path = os.path.join(out_dir, opts.traj_csv)
     output.write_trajectory_csv(path, traj, [header])
     print(f"wrote {path}")
     return 0
 
 
-def _parse_eps_list(raw) -> list[float]:
-    if raw is None:
-        raise UsageError("missing required option --eps")
-    if isinstance(raw, (list, tuple)):
-        values = [_number(v, "eps") for v in raw]
-    else:
-        parts = [p.strip() for p in str(raw).split(",") if p.strip()]
-        try:
-            values = [float(p) for p in parts]
-        except ValueError as exc:
-            raise UsageError(f"bad --eps list: {exc}") from exc
-    if not values:
-        raise UsageError("--eps list is empty")
-    return sorted(set(values), reverse=True)
-
-
-def _cmd_sweep(args, cfg: dict) -> int:
+def _cmd_sweep(opts) -> int:
     from .experiment import run_sweep
 
-    m = _resolve_model(args, cfg)
-    out_dir = _resolve_out_dir(args, cfg)
-    controls = _resolve_controls(args, cfg)
-    x0 = _float_arg(args, cfg, "x0")
-    z0 = _float_arg(args, cfg, "z0")
-    eps_list = _parse_eps_list(_merged(args, cfg, "eps"))
-    formats = {p.strip() for p in str(_merged(args, cfg, "formats",
-                                              args.formats)).split(",")
-               if p.strip()}
+    m = _resolve_model(opts)
+    out_dir = _resolve_out_dir(opts)
+    controls = _resolve_controls(opts)
+    x0, z0, eps_list = opts.x0, opts.z0, opts.eps
+    formats = {p.strip() for p in opts.formats.split(",") if p.strip()}
     unknown = formats - {"csv", "json"}
     if unknown or not formats:
         raise UsageError("--formats must be a comma subset of csv,json")
 
     _attracting(m, InitialData(x0=x0, z0=z0, eps=0.0))
     report = run_sweep(m, x0, z0, eps_list, controls=controls,
-                       probe_step=args.probe_step)
+                       probe_step=opts.probe_step)
 
     fmt = output.fmt
     for r in report.records:
@@ -371,25 +374,23 @@ def _cmd_sweep(args, cfg: dict) -> int:
     return 0
 
 
-def _cmd_geometry(args, cfg: dict) -> int:
+def _cmd_geometry(opts) -> int:
     from .entryexit import solve_exit
     from .geometry import (build_configuration, build_manifolds,
                            transversality_det)
 
-    m = _resolve_model(args, cfg)
-    out_dir = _resolve_out_dir(args, cfg)
-    x0 = _float_arg(args, cfg, "x0")
-    z0 = _float_arg(args, cfg, "z0")
+    m = _resolve_model(opts)
+    out_dir = _resolve_out_dir(opts)
+    x0, z0 = opts.x0, opts.z0
     _attracting(m, InitialData(x0=x0, z0=z0, eps=0.0))
     sol = solve_exit(m, x0)
-    delta = _merged(args, cfg, "delta")
+    delta = opts.delta
     if delta is None:
         delta = min(-x0, sol.x1) / 8.0
-    delta = _number(delta, "delta")
 
-    config = build_configuration(m, sol, z0, n=args.config_n)
-    left, right = build_manifolds(m, x0, sol.x1, delta, n=args.n,
-                                  n2=args.n2)
+    config = build_configuration(m, sol, z0, n=opts.config_n)
+    left, right = build_manifolds(m, x0, sol.x1, delta, n=opts.n,
+                                  n2=opts.n2)
 
     dets = [transversality_det(m, x0 + i * (sol.x1 - x0) / 100, sol.x1)
             for i in range(101)]
@@ -413,21 +414,20 @@ def _cmd_geometry(args, cfg: dict) -> int:
     return 0
 
 
-def _cmd_check(args, cfg: dict) -> int:
-    m = _resolve_model(args, cfg)
-    report = check_hypotheses(m, grid_n=args.grid_n)
+def _cmd_check(opts) -> int:
+    m = _resolve_model(opts)
+    report = check_hypotheses(m, grid_n=opts.grid_n)
     print(m.describe())
     print(report.summary())
     return 0 if report.passed else 1
 
 
 _COMMANDS = {
-    "exit": ("solve the eps = 0 exit problem", _exit_args, _cmd_exit),
-    "simulate": ("integrate one trajectory", _simulate_args, _cmd_simulate),
-    "sweep": ("delayed-loss measurement over eps", _sweep_args, _cmd_sweep),
-    "geometry": ("emit cycle and manifold patches", _geometry_args,
-                 _cmd_geometry),
-    "check": ("verify sign hypotheses on a model", _check_args, _cmd_check),
+    "exit": ("solve the eps = 0 exit problem", _cmd_exit),
+    "simulate": ("integrate one trajectory", _cmd_simulate),
+    "sweep": ("delayed-loss measurement over eps", _cmd_sweep),
+    "geometry": ("emit cycle and manifold patches", _cmd_geometry),
+    "check": ("verify sign hypotheses on a model", _cmd_check),
 }
 
 
@@ -437,8 +437,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
-        cfg = _load_config(getattr(args, "config", None))
-        return _COMMANDS[args.command][2](args, cfg)
+        cfg = _load_config(args.config)
+        return _COMMANDS[args.command][1](_resolve(args, cfg))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64

@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from delaylab.cli import build_parser, main
+from delaylab.cli import _OPTIONS, build_parser, main
 
 
 def run(capsys, *argv):
@@ -128,6 +128,10 @@ def test_usage_errors_exit_64(capsys, tmp_path):
         ("check", {"window": 1.5}),
         ("check", {"z_cap": "big"}),
         ("simulate", {"chart": "polar"}),
+        ("simulate", {"x0": True}),
+        ("simulate", {"max_steps": 2.5}),
+        ("simulate", {"stop_x_positive": 1}),
+        ("simulate", {"stop_x_positive": "true"}),
     )
     base = {"simulate": {"x0": -1, "z0": 0.1, "eps": 0.05},
             "sweep": {"x0": -1, "z0": 0.1, "eps": [0.2, 0.1]},
@@ -326,6 +330,104 @@ def test_config_file_with_flag_override(capsys, tmp_path):
     rc, _, err = run(capsys, "exit", "--config", str(tmp_path / "nope.json"),
                      "--x0", "-1")
     assert rc == 64
+
+
+# per option, the argv after its flag and the same value as a config value
+_OPTION_VALUES = {
+    "model": (("scaled",), "scaled"),
+    "f": (("1 + 0.1*z",), "1 + 0.1*z"),
+    "g": (("x + 0.3*z",), "x + 0.3*z"),
+    "window": (("-1.2", "1.2"), [-1.2, 1.2]),
+    "z_cap": (("0.5",), 0.5),
+    "out_dir": (("sub",), "sub"),
+    "x0": (("-0.8",), -0.8),
+    "curves_csv": (("k.csv",), "k.csv"),
+    "curves_n": (("33",), 33),
+    "rel_tol": (("1e-6",), 1e-6),
+    "abs_tol": (("1e-9",), 1e-9),
+    "max_steps": (("500",), 500),
+    "initial_step": (("0.01",), 0.01),
+    "max_step": (("0.05",), 0.05),
+    "sample_dt": (("0.05",), 0.05),
+    "z0": (("0.2",), 0.2),
+    "eps": (("0.1",), 0.1),
+    ("sweep", "eps"): (("0.2,0.1",), [0.2, 0.1]),
+    "chart": (("xz",), "xz"),
+    "stop_z": (("0.5",), 0.5),
+    "stop_zeta": (("0.3",), 0.3),
+    "stop_x": (("0.5",), 0.5),
+    "stop_direction": (("up",), "up"),
+    "stop_x_positive": ((), True),
+    "traj_csv": (("t.csv",), "t.csv"),
+    "probe_step": (("1e-3",), 1e-3),
+    "formats": (("json",), "json"),
+    "delta": (("0.1",), 0.1),
+    "n": (("17",), 17),
+    "n2": (("5",), 5),
+    "config_n": (("33",), 33),
+    "grid_n": (("128",), 128),
+}
+_OPTION_BASE = {
+    "exit": {"x0": -1, "curves_csv": "c.csv"},
+    "simulate": {"x0": -1, "z0": 0.1, "eps": 0.2},
+    "sweep": {"x0": -1, "z0": 0.1, "eps": [0.2]},
+    "geometry": {"x0": -1, "z0": 0.1, "n": 9, "config_n": 17},
+    "check": {"grid_n": 64},
+}
+# options that only show with another one set
+_OPTION_NEEDS = {"stop_direction": {"stop_x": 0.5},
+                 "stop_x_positive": {"stop_z": 0.05}}
+
+
+def test_every_option_reads_alike_from_flag_and_config(capsys, tmp_path,
+                                                       monkeypatch):
+    # each option on each command that takes it, once as its flag and
+    # once as its config key over the same config: the same exit code,
+    # output and files
+    monkeypatch.delenv("DELAYLAB_OUT", raising=False)
+    custom = {"f": "1", "g": "x + 0.5*z"}
+    for i, o in enumerate(_OPTIONS):
+        if o.dest == "config":
+            continue
+        for command in o.commands.split():
+            words, value = (_OPTION_VALUES.get((command, o.dest))
+                            or _OPTION_VALUES[o.dest])
+            base = {**({"model": "linear"} if o.dest == "model" else custom),
+                    **_OPTION_BASE[command], **_OPTION_NEEDS.get(o.dest, {})}
+            base.pop(o.dest, None)
+            flag = ("--" + o.dest.replace("_", "-"), *words)
+            runs = []
+            for j, (argv, cfg) in enumerate(((flag, base),
+                                             ((), {**base, o.dest: value}))):
+                run_dir = tmp_path / f"{i}-{command}-{j}"
+                run_dir.mkdir()
+                monkeypatch.chdir(run_dir)
+                path = tmp_path / f"{i}-{command}-{j}.json"
+                path.write_text(json.dumps(cfg))
+                rc, out, err = run(capsys, command, "--config", str(path),
+                                   *argv)
+                files = {str(p.relative_to(run_dir)): p.read_bytes()
+                         for p in run_dir.rglob("*") if p.is_file()}
+                runs.append((rc, out, err, files))
+            assert runs[0] == runs[1], (command, o.dest)
+            assert runs[0][0] == 0, (command, o.dest, runs[0][2])
+            if o.dest == "formats":
+                assert set(runs[1][3]) == {"sweep.json"}
+
+
+def test_config_keys_of_no_command_are_rejected(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    # keys that only other commands read are ignored
+    cfg.write_text(json.dumps({"model": "linear", "eps": [0.1],
+                               "traj_csv": "t.csv", "formats": "json"}))
+    assert run(capsys, "check", "--config", str(cfg))[0] == 0
+    cfg.write_text(json.dumps({"f_expr": "1", "g_expr": "x"}))
+    assert run(capsys, "check", "--config", str(cfg))[0] == 0
+    cfg.write_text(json.dumps({"model": "linear", "reltol": 1e-3}))
+    rc, out, err = run(capsys, "check", "--config", str(cfg))
+    assert rc == 64 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "reltol" in err
 
 
 def test_geometry_cli(capsys, tmp_path):

@@ -48,6 +48,25 @@ COMMANDS = (
     ("simulate", "--f", "1 + 0.1*z", "--g", "x + 0.5*z", *START,
      "--eps", "0.05"),
     ("check", "--model", "linear"),
+    # every other option of the CLI's option table, each set by flag
+    ("exit", *Z_COUPLED, "--window", "-1.2", "1.2", "--z-cap", "0.5",
+     "--x0", "-1"),
+    ("geometry", "--model", "linear", *START, "--delta", "0.1",
+     "--n", "17", "--n2", "5", "--config-n", "33"),
+    ("sweep", *Z_COUPLED, *START, "--eps", "0.2,0.1", "--probe-step", "1e-3",
+     "--formats", "json"),
+    ("simulate", "--model", "linear", *START, "--eps", "0.1",
+     "--stop-x", "0.5", "--stop-direction", "up", "--traj-csv", "t.csv"),
+    ("simulate", "--model", "linear", *START, "--eps", "0.1",
+     "--stop-z", "0.05", "--stop-x-positive"),
+    ("simulate", *Z_COUPLED, *START, "--eps", "0.1", "--stop-zeta", "0.3",
+     "--rel-tol", "1e-6", "--abs-tol", "1e-9", "--max-steps", "5000",
+     "--initial-step", "0.01", "--max-step", "0.05", "--sample-dt", "0.05"),
+    ("sweep", *SIN_F, *START, "--eps", "0.2,0.1", "--rel-tol", "1e-7",
+     "--abs-tol", "1e-10", "--max-steps", "100000", "--initial-step", "0.01",
+     "--max-step", "0.2", "--sample-dt", "0.1"),
+    ("check", "--f", "2", "--g", "x + x^2/2", "--window", "-1", "1",
+     "--z-cap", "0.5", "--grid-n", "64"),
 )
 # Help, version and usage errors, run without --out-dir.
 USAGE = (
